@@ -64,7 +64,7 @@ int main() {
         config.traces = prng_on_traces;
         config.fixed_plaintext = plaintexts[p];
         config.seed = 202 + static_cast<std::uint64_t>(p);
-        eval::DesTvlaResult r = eval::run_des_tvla(core, config);
+        const eval::DesTvlaResult r = eval::run_des_tvla(core, config);
         const std::string name = std::string("Fig14") +
                                  static_cast<char>('b' + p) + " plaintext " +
                                  std::to_string(p + 1);
@@ -81,7 +81,7 @@ int main() {
                              std::to_string(order), std::to_string(c),
                              TablePrinter::num(curve[c], 4)});
         }
-        campaigns.push_back(std::move(r.campaign));
+        campaigns.push_back(r.campaign.to_campaign());
     }
     table.print();
 

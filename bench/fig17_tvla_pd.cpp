@@ -84,7 +84,7 @@ int main() {
                 config.coupling.timing_enabled = true;
                 config.coupling_epsilon = epsilon;
             }
-            eval::DesTvlaResult r = eval::run_des_tvla(core, config);
+            const eval::DesTvlaResult r = eval::run_des_tvla(core, config);
             table.add_row({base_name, coupled ? "on" : "off",
                            std::to_string(r.traces),
                            TablePrinter::num(r.max_abs_t[1]),
@@ -94,7 +94,7 @@ int main() {
                         coupled ? "on" : "off");
             if (coupled) {
                 max_t1_coupled = std::max(max_t1_coupled, r.max_abs_t[1]);
-                coupled_campaigns.push_back(std::move(r.campaign));
+                coupled_campaigns.push_back(r.campaign.to_campaign());
             } else {
                 max_t1_ideal = std::max(max_t1_ideal, r.max_abs_t[1]);
             }

@@ -35,7 +35,10 @@
 #   * the ledger regression radar is exercised end to end: the bench
 #     artifact is ingested twice (diff must exit 0, leakage
 #     bit-identical), then a deliberately perturbed copy is ingested and
-#     `diff` must exit with the regression code (3).
+#     `diff` must exit with the regression code (3);
+#   * the benchmark (perfbench/, its own CMake project over src/) is
+#     built into build-perfbench/ and its self-tests run
+#     (perfbench/test_run.py).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -146,5 +149,12 @@ for preset in "${presets[@]}"; do
     fi
     echo "ledger radar: bit-identity proven, perturbation tripped (exit 3)"
     rm -rf "$radar_dir"
+
+    echo "==> release extras: benchmark build + self-tests (perfbench/)"
+    # The benchmark is its own CMake project over src/: building it here
+    # makes an eval/ API change that breaks it fail CI, not the benchmark.
+    cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+    cmake --build build-perfbench -j "$jobs" --target glitchmask_perfbench
+    python3 perfbench/test_run.py
   fi
 done

@@ -1,37 +1,25 @@
-// Trace-collection and experiment drivers shared by the test suite and
-// the bench harness.
+// The Table I experiment: secAND2 input sequences.
 //
-// The general pattern of every evaluation in the paper is:
-//   restart device -> apply stimulus (fixed or random class) -> record the
-//   per-cycle power trace -> add Gaussian measurement noise -> feed the
-//   TVLA accumulators; repeat with randomly interleaved classes.
-// collect_trace() implements one iteration of that loop; the experiment
-// functions wrap it with the paper's specific stimulus schedules and run
-// the campaign on the sharded parallel engine of parallel_campaign.hpp --
-// every trace derives its randomness from (seed, trace index), so results
-// are bit-identical at any worker count.
+// Every evaluation in the paper follows one pattern -- restart device,
+// apply stimulus (fixed or random class), record the per-cycle power
+// trace, add Gaussian measurement noise, feed the TVLA accumulators --
+// with a different stimulus.  This driver supplies the sequence stimulus
+// to the shared campaign pipeline (eval/campaign_pipeline.hpp), which
+// runs it on the sharded parallel engine of parallel_campaign.hpp: every
+// trace derives its randomness from (seed, trace index), so results are
+// bit-identical at any worker count.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "core/circuits.hpp"
 #include "eval/parallel_campaign.hpp"
 #include "leakage/attribution.hpp"
 #include "leakage/tvla.hpp"
-#include "power/power_model.hpp"
 #include "sim/clocked.hpp"
-#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
 namespace glitchmask::eval {
-
-/// Restarts `sim`, records `cycles` power bins while `drive` runs the
-/// stimulus, and returns the trace with Gaussian noise of `sigma` added.
-[[nodiscard]] std::vector<double> collect_trace(
-    sim::ClockedSim& sim, power::PowerRecorder& recorder, std::size_t cycles,
-    double sigma, Xoshiro256& noise_rng,
-    const std::function<void(sim::ClockedSim&)>& drive);
 
 // ----- Table I: safe input sequences of secAND2 -------------------------
 
@@ -45,13 +33,15 @@ struct SequenceExperimentConfig {
     unsigned workers = 0;         // campaign threads; 0 = auto (env/cores)
     std::size_t block_size = 64;  // shard granularity (part of the result's
                                   // identity -- see parallel_campaign.hpp)
-    unsigned lanes = 0;           // traces per event-queue pass: 1 = scalar,
-                                  // 64 = bitsliced; 0 = auto (env, default 64).
-                                  // Both paths are bit-identical.
+    unsigned lanes = 0;           // traces per pass: 1 = scalar, 64 =
+                                  // bitsliced event, 64/128/256/512 =
+                                  // compiled; 0 = auto (env).  All widths
+                                  // are bit-identical.
     /// Crash-safe runtime knobs (checkpoint path/cadence, cancel token);
     /// the default leaves the runtime off.  Each sequence checkpoints to
     /// its own file (the sequence is part of the campaign id and the
-    /// snapshot fingerprint).
+    /// snapshot fingerprint); run_all_sequences suffixes the sequence tag
+    /// onto an explicit checkpoint_path, campaign_id or report_path.
     CampaignRunOptions run;
 };
 
@@ -72,25 +62,6 @@ struct SequenceLeakResult {
     leakage::AttributionResult attribution;
 };
 
-/// Prebuilt secAND2 harness: the circuit and its delay annotation do not
-/// depend on the input sequence, so one instance serves all 24 sequence
-/// experiments (and all worker replicas -- simulators share them read-only).
-class SequenceHarness {
-public:
-    explicit SequenceHarness(const SequenceExperimentConfig& config);
-
-    /// Runs one sequence campaign on `pool`.
-    [[nodiscard]] SequenceLeakResult run(const core::InputSequence& sequence,
-                                         const SequenceExperimentConfig& config,
-                                         ThreadPool& pool) const;
-
-private:
-    core::RegisteredSecand2 circuit_;
-    sim::DelayModel dm_;
-    sim::ClockConfig clock_;
-    power::PowerConfig power_config_;
-};
-
 /// Power bins per sequence trace: inputs + 4 sequence slots + settle.
 inline constexpr std::size_t kSequenceCycles = 6;
 
@@ -107,7 +78,7 @@ inline constexpr std::size_t kSequenceCycles = 6;
 [[nodiscard]] SequenceLeakResult run_sequence_experiment(
     const core::InputSequence& sequence, const SequenceExperimentConfig& config);
 
-/// Convenience: runs all 24 sequences (one shared harness, one pool).
+/// Runs all 24 sequences on one shared harness and one pool.
 [[nodiscard]] std::vector<SequenceLeakResult> run_all_sequences(
     const SequenceExperimentConfig& config);
 

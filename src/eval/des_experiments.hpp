@@ -11,14 +11,14 @@
 // the paper shows as raw scope traces (Figs. 13 / 16).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "des/masked_des.hpp"
 #include "eval/checkpoint.hpp"
 #include "leakage/attribution.hpp"
-#include "leakage/tvla.hpp"
-#include "power/power_model.hpp"
+#include "leakage/moment_bank.hpp"
 #include "sim/clocked.hpp"
 
 namespace glitchmask::eval {
@@ -41,9 +41,9 @@ struct DesTvlaConfig {
     /// Shard granularity; fixed per campaign so results are bit-identical
     /// at any worker count (see eval/parallel_campaign.hpp).
     std::size_t block_size = 64;
-    /// Traces per event-queue pass: 1 = scalar, 64 = bitsliced, 0 = auto
-    /// (GLITCHMASK_LANES env, default 64).  Both paths are bit-identical;
-    /// timing coupling forces the scalar path regardless.
+    /// Traces per pass: 1 = scalar, 64 = bitsliced event, 64/128/256/512
+    /// = compiled (run.backend), 0 = auto (env).  All widths are
+    /// bit-identical; timing coupling forces the scalar path regardless.
     unsigned lanes = 0;
     /// Crash-safe runtime knobs: checkpoint path/cadence, cancellation
     /// token (see eval/checkpoint.hpp).  Defaults leave the runtime off.
@@ -71,10 +71,9 @@ struct DesTvlaResult {
     /// "sbox") on the full core: unscoped DES attribution costs ~48 B per
     /// (net, cycle) point per in-flight block.
     leakage::AttributionResult attribution;
-    leakage::TvlaCampaign campaign;
-
-    explicit DesTvlaResult(std::size_t n_samples, int max_order)
-        : campaign(n_samples, max_order) {}
+    /// The merged statistics: t-curves, exceedances, class counts
+    /// (to_campaign() converts exactly when a TvlaCampaign is needed).
+    leakage::MomentBank campaign;
 };
 
 /// The campaign identity of one DES TVLA run; `samples` is the core's
@@ -93,9 +92,9 @@ struct DesTvlaResult {
                                          const DesTvlaConfig& config);
 
 /// Mean per-cycle power over `traces` random encryptions (PRNG on).
-/// `lanes` as in DesTvlaConfig (0 = auto; scalar and bitsliced paths are
-/// bit-identical).  `run` enables the crash-safe runtime; on cancellation
-/// the mean covers `progress->completed_traces` traces.  When
+/// `lanes` as in DesTvlaConfig (0 = auto; every width is bit-identical).
+/// `run` enables the crash-safe runtime; on cancellation the mean covers
+/// `progress->completed_traces` traces.  When
 /// run.attribution is on and `attribution` non-null, the per-net activity
 /// view is returned there (all traces are one class, so every |t| is the
 /// 0.0 sentinel -- the value of attributing a mean-power run is the

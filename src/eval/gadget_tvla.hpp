@@ -21,6 +21,7 @@
 #include "eval/checkpoint.hpp"
 #include "leakage/attribution.hpp"
 #include "sim/clocked.hpp"
+#include "sim/compiled_simulator.hpp"
 #include "support/thread_pool.hpp"
 
 namespace glitchmask::eval {
@@ -55,7 +56,8 @@ struct GadgetTvlaConfig {
     int max_test_order = 2;
     unsigned workers = 0;         // 0 = auto (env / cores)
     std::size_t block_size = 64;
-    unsigned lanes = 0;           // 1 scalar / 64 bitsliced / 0 auto
+    unsigned lanes = 0;           // 1 scalar, 64 bitsliced event,
+                                  // 64/128/256/512 compiled, 0 auto
     CampaignRunOptions run;       // checkpointing, reports, attribution
 };
 
@@ -84,6 +86,56 @@ struct GadgetStimulus {
 [[nodiscard]] GadgetStimulus gadget_stimulus(unsigned fresh_bits,
                                              std::uint64_t seed,
                                              std::size_t trace_index);
+
+/// Campaign-pipeline stimulus (eval/campaign_pipeline.hpp) of every
+/// masked-AND harness: trace n's gadget_stimulus() bits land on `inputs`
+/// (x0, x1, y0, y1, then the fresh bits), then `schedule(sim)` clocks the
+/// harness.  The gadget zoo and the Table I sequence experiment differ
+/// only in their inputs and schedule.
+template <class Schedule>
+struct MaskedAndDrive {
+    std::array<netlist::NetId, 7> inputs;
+    unsigned fresh_bits;
+    std::uint64_t seed;
+    std::size_t bins;
+    Schedule schedule;
+
+    /// Per input, one lane word per chunk.
+    using Scratch = std::array<std::array<std::uint64_t, sim::kMaxLaneChunks>, 7>;
+
+    static bool bit(const GadgetStimulus& stim, std::size_t i) {
+        return i < 4 ? stim.shares[i] : stim.fresh[i - 4];
+    }
+
+    bool drive_trace(sim::ClockedSim& s, std::size_t n) const {
+        const GadgetStimulus stim = gadget_stimulus(fresh_bits, seed, n);
+        for (std::size_t i = 0; i < 4 + fresh_bits; ++i)
+            s.set_input(inputs[i], bit(stim, i));
+        schedule(s);
+        return stim.fixed;
+    }
+
+    void fill(Scratch& scratch, std::size_t first, unsigned count,
+              std::uint64_t* fixed) const {
+        scratch = {};
+        for (unsigned lane = 0; lane < count; ++lane) {
+            const GadgetStimulus stim =
+                gadget_stimulus(fresh_bits, seed, first + lane);
+            const std::uint64_t mask = std::uint64_t{1} << (lane % 64u);
+            if (stim.fixed) fixed[lane / 64u] |= mask;
+            for (std::size_t i = 0; i < 4 + fresh_bits; ++i)
+                if (bit(stim, i)) scratch[i][lane / 64u] |= mask;
+        }
+    }
+
+    template <class Sim>
+    void drive_group(Sim& s, const Scratch& scratch) const {
+        for (unsigned c = 0; c < s.chunks(); ++c)
+            for (std::size_t i = 0; i < 4 + fresh_bits; ++i)
+                s.set_input_word(inputs[i], c, scratch[i][c]);
+        schedule(s);
+    }
+};
 
 /// The zoo circuit: `replicas` gadget instances behind shared input
 /// registers (enable group 1), frozen.
@@ -131,11 +183,26 @@ public:
     /// (the caller restarts the simulator and arms the recorder first).
     void drive(sim::ClockedSim& sim, const GadgetStimulus& stim) const;
 
-    /// Runs one campaign on `pool` (scalar or bitsliced per config.lanes).
+    /// Runs one campaign on `pool` (scalar or lane-parallel per
+    /// config.lanes and config.run.backend).
     [[nodiscard]] GadgetTvlaResult run(const GadgetTvlaConfig& config,
                                        ThreadPool& pool) const;
 
 private:
+    /// The 5-window drive schedule alone, on any sim with the ClockedSim
+    /// control API (the lane engines load their input words first).
+    template <class Sim>
+    void schedule(Sim& s) const {
+        s.step();
+        s.set_enable(1, true);
+        s.step();
+        s.set_enable(1, false);
+        if (circuit_.has_stage2) s.set_enable(2, true);
+        s.step();
+        if (circuit_.has_stage2) s.set_enable(2, false);
+        s.step();
+    }
+
     GadgetCircuit circuit_;
     sim::DelayModel dm_;
     sim::ClockConfig clock_;

@@ -1,8 +1,8 @@
 // Campaign-side seam between the lane-parallel simulation backends.
 //
-// The campaign drivers (eval/campaign.cpp, eval/gadget_tvla.cpp,
-// eval/des_experiments.cpp) run their lane-parallel block bodies against a
-// uniform "chunked sim" API so one generic body serves both backends:
+// The campaign pipeline (eval/campaign_pipeline.hpp) runs its one
+// lane-parallel block body against a uniform "chunked sim" API, so the
+// same body serves both backends:
 //
 //   * EventLaneSim  -- BatchClockedSim behind the chunked API, one 64-lane
 //     chunk (the PR-2 bitsliced engine, byte-identical results);
@@ -12,7 +12,8 @@
 //
 // LaneWorker bundles a chunked sim with its per-chunk sinks (one
 // BatchPowerRecorder per chunk, optionally one BatchAttributionProbe per
-// chunk) exactly as the drivers previously wired the 64-lane engine.
+// chunk).  ScalarWorker is its one-lane counterpart on the scalar event
+// engine.  run_campaign() is the one place that picks and builds them.
 // Chunk c covers lanes [64c, 64c+64) == traces group+64c .. group+64c+63,
 // so folding chunk-by-chunk in chunk order feeds the accumulators in
 // trace order -- the same add_lane_traces / fold_group call sequence as
@@ -28,6 +29,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,7 +37,9 @@
 #include "leakage/attribution.hpp"
 #include "netlist/netlist.hpp"
 #include "power/batch_power.hpp"
+#include "power/power_model.hpp"
 #include "sim/batch_simulator.hpp"
+#include "sim/clocked.hpp"
 #include "sim/compiled_simulator.hpp"
 #include "support/telemetry.hpp"
 
@@ -160,7 +164,7 @@ struct LaneWorker {
     }
 
     [[nodiscard]] unsigned chunks() const noexcept { return sim.chunks(); }
-    /// Traces simulated per pass (the drivers' group stride).
+    /// Traces simulated per pass (the pipeline's group stride).
     [[nodiscard]] unsigned group_lanes() const noexcept {
         return sim.chunks() * 64u;
     }
@@ -204,6 +208,44 @@ struct LaneWorker {
                    std::vector<double>& out) const {
         recorders[lane / 64u].noisy_lane_trace_into(lane % 64u, rng, sigma,
                                                     out);
+    }
+};
+
+/// The scalar counterpart of LaneWorker: one event-queue simulator whose
+/// toggles feed the recorder, through the attribution probe when there is
+/// one.  Its row accessors mirror LaneWorker's with a single lane, so a
+/// campaign folds both paths through the same code.  Construct in place
+/// (make_unique): the sink registrations point into the object.
+struct ScalarWorker {
+    sim::ClockedSim sim;
+    power::PowerRecorder recorder;
+    std::optional<leakage::AttributionProbe> probe;
+    std::vector<double> noisy;
+    telemetry::SimStats last_stats{};
+
+    ScalarWorker(const netlist::Netlist& nl, const sim::DelayModel& dm,
+                 sim::ClockConfig clock, sim::CouplingConfig coupling,
+                 const power::PowerConfig& power_config,
+                 const leakage::AttributionPlan* attribution)
+        : sim(nl, dm, clock, coupling), recorder(nl, power_config) {
+        recorder.attach(&sim.engine());
+        if (attribution != nullptr) {
+            probe.emplace(*attribution, &recorder);
+            sim.engine().set_sink(&*probe);
+        } else {
+            sim.engine().set_sink(&recorder);
+        }
+    }
+
+    [[nodiscard]] double sample(std::size_t bin, unsigned /*lane*/) const {
+        return recorder.trace()[bin];
+    }
+    [[nodiscard]] std::uint64_t lane_toggles(unsigned /*lane*/) const {
+        return recorder.trace_toggles();
+    }
+    void noisy_row(unsigned /*lane*/, Xoshiro256& rng, double sigma,
+                   std::vector<double>& out) const {
+        recorder.noisy_trace_into(rng, sigma, out);
     }
 };
 

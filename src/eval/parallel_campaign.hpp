@@ -46,7 +46,7 @@ namespace glitchmask::eval {
 
 namespace detail {
 
-/// Per-block telemetry bracket shared by both sharded runners: times the
+/// Per-block telemetry bracket of the sharded runner: times the
 /// block when collection is on, feeds the progress meter, and -- when
 /// span tracing is on -- opens a "block" span for the block's duration
 /// (joining the ambient stack so PhaseClock's flushed phase leaves nest
@@ -149,109 +149,37 @@ struct ShardPlan {
     }
 };
 
-/// In-place pairwise reduction of block accumulators in index order:
-/// round 1 merges (0,1)(2,3)..., round 2 merges (0,2)(4,6)..., etc.  The
-/// tree depends only on the number of blocks.  Returns the root.
-template <class Acc, class Merge>
-[[nodiscard]] Acc merge_tree(std::vector<std::optional<Acc>>& blocks,
-                             Merge&& merge) {
-    for (std::size_t step = 1; step < blocks.size(); step *= 2)
-        for (std::size_t i = 0; i + step < blocks.size(); i += 2 * step)
-            merge(*blocks[i], *blocks[i + step]);
-    return std::move(*blocks.front());
-}
-
-/// Runs `plan.traces` traces on `pool` and returns the merged accumulator.
-///
-///   make_worker() -> owning handle H of one simulator replica; called
-///     lazily, at most once per pool worker, on that worker's thread.
-///     Return a std::unique_ptr (or any dereference-free movable state):
-///     the handle is stored once and never relocated afterwards, so
-///     internal pointers (e.g. a PowerRecorder registered as toggle sink)
-///     stay valid.
-///   make_acc() -> empty block accumulator Acc.
-///   run_trace(H& worker, std::size_t trace_index, Acc& acc) collects one
-///     trace into the block accumulator.
-///   merge(Acc& into, const Acc& from) folds two block accumulators.
-template <class MakeWorker, class MakeAcc, class RunTrace, class Merge>
-[[nodiscard]] auto run_sharded(ThreadPool& pool, const ShardPlan& plan,
-                               MakeWorker&& make_worker, MakeAcc&& make_acc,
-                               RunTrace&& run_trace, Merge&& merge)
-    -> decltype(make_acc());
-
-/// Block-granular variant of run_sharded for collectors that process a
-/// whole block at once -- the bitsliced batch path simulates a block as
-/// lane groups of 64 consecutive trace indices, so it needs the [begin,
-/// end) range rather than one callback per trace:
-///
-///   run_block(H& worker, std::size_t begin, std::size_t end, Acc& acc)
-///     collects traces [begin, end) into the block accumulator.
-///
-/// Sharding, replica reuse and the merge tree are identical to
-/// run_sharded, so the per-block accumulation order -- and therefore the
-/// merged floating-point result -- only depends on what run_block feeds
-/// the accumulator.
-template <class MakeWorker, class MakeAcc, class RunBlock, class Merge>
-[[nodiscard]] auto run_sharded_blocks(ThreadPool& pool, const ShardPlan& plan,
-                                      MakeWorker&& make_worker,
-                                      MakeAcc&& make_acc, RunBlock&& run_block,
-                                      Merge&& merge,
-                                      telemetry::ProgressMeter* meter = nullptr,
-                                      trace::SpanId trace_parent = 0)
-    -> decltype(make_acc()) {
-    using Acc = decltype(make_acc());
-    using Worker = decltype(make_worker());
-
-    const std::size_t n_blocks = plan.blocks();
-    if (n_blocks == 0) return make_acc();
-
-    // One lazily-built replica slot per pool worker.  Each slot is only
-    // ever touched by the pool thread with that index, so no locking.
-    std::vector<std::optional<Worker>> replicas(pool.size());
-    std::vector<std::optional<Acc>> blocks(n_blocks);
-
-    TaskGroup group(pool);
-    for (std::size_t b = 0; b < n_blocks; ++b) {
-        group.run([&, b] {
-            const int id = pool.current_worker();
-            std::optional<Worker>& slot = replicas[static_cast<std::size_t>(id)];
-            if (!slot.has_value()) slot.emplace(make_worker());
-
-            const detail::BlockScope scope(trace_parent, b);
-            Acc acc = make_acc();
-            const std::size_t begin = plan.block_begin(b);
-            const std::size_t end = plan.block_end(b);
-            run_block(*slot, begin, end, acc);
-            blocks[b].emplace(std::move(acc));
-            scope.done(end - begin, meter);
-        });
-    }
-    group.wait();
-
-    return merge_tree(blocks, merge);
-}
-
-template <class MakeWorker, class MakeAcc, class RunTrace, class Merge>
-[[nodiscard]] auto run_sharded(ThreadPool& pool, const ShardPlan& plan,
-                               MakeWorker&& make_worker, MakeAcc&& make_acc,
-                               RunTrace&& run_trace, Merge&& merge)
-    -> decltype(make_acc()) {
-    using Worker = decltype(make_worker());
-    using Acc = decltype(make_acc());
-    return run_sharded_blocks(
-        pool, plan, std::forward<MakeWorker>(make_worker),
-        std::forward<MakeAcc>(make_acc),
-        [&run_trace](Worker& worker, std::size_t begin, std::size_t end,
-                     Acc& acc) {
-            for (std::size_t n = begin; n < end; ++n) run_trace(worker, n, acc);
-        },
-        std::forward<Merge>(merge));
-}
-
-// ----- crash-safe variant ----------------------------------------------
+// ----- the sharded runner ----------------------------------------------
 //
-// run_sharded_blocks_checkpointed adds three behaviours on top of
-// run_sharded_blocks without changing a single result bit:
+// run_sharded_blocks_checkpointed runs `plan.traces` traces on `pool` and
+// returns the merged accumulator:
+//
+//   make_worker() -> owning handle H of one simulator replica; called
+//     lazily, at most once per pool worker, on that worker's thread.
+//     The handle is stored once and never relocated afterwards; keep
+//     sink-registered state behind a std::unique_ptr so internal
+//     pointers (e.g. a PowerRecorder registered as toggle sink) stay
+//     valid.
+//   make_acc() -> empty block accumulator Acc.
+//   run_block(H& worker, std::size_t begin, std::size_t end, Acc& acc)
+//     collects traces [begin, end) into the block accumulator.
+//   merge(Acc& into, const Acc& from) folds two block accumulators.
+//   encode_acc / decode_acc serialize one accumulator for snapshots.
+//
+// Block accumulators combine in a fixed pairwise tree over block indices
+// -- round 1 merges (0,1)(2,3)..., round 2 merges (0,2)(4,6)..., and so
+// on -- so the merged floating-point result depends only on the block
+// plan and on what run_block feeds each accumulator.  The tree is built
+// by folding blocks *in index order* through a binary-counter stack: push
+// each block as a 1-block entry, then merge the top two entries while
+// they span equally many blocks.  The surviving entries are the roots of
+// the tree's aligned power-of-two subtrees, and the final result folds
+// them right-to-left, the order the tree's increasing-step rounds combine
+// them in.  That stack (O(log blocks) accumulators) is the entire
+// checkpoint state, so the checkpoint cadence, the worker count and the
+// interruption point all drop out of the final float result.
+//
+// On top of that the policy adds, without changing a single result bit:
 //
 //   * periodic snapshots: every `every_blocks` completed blocks the
 //     campaign's merge frontier is written atomically to `policy.path`;
@@ -261,19 +189,8 @@ template <class MakeWorker, class MakeAcc, class RunTrace, class Merge>
 //     running finish, queued blocks are dropped, a final checkpoint is
 //     written and the partial merge is returned (progress->cancelled).
 //
-// Bit-identity with the plain path rests on a classic equivalence: the
-// fixed pairwise merge tree of merge_tree() is exactly reproduced by
-// folding blocks *in index order* through a binary-counter stack -- push
-// each block as a 1-block entry, then merge the top two entries while
-// they span equally many blocks.  The surviving entries are the roots of
-// the aligned power-of-two subtrees of the tree; the final result folds
-// them right-to-left, which is the order merge_tree's increasing-step
-// rounds combine them in.  That stack (O(log blocks) accumulators) is the
-// entire checkpoint state, so the checkpoint cadence, the worker count
-// and the interruption point all drop out of the final float result.
-//
-// When the policy is inactive (no path, no token, no hook) this delegates
-// to run_sharded_blocks -- the hot path is untouched.
+// When the policy is inactive (no path, no token, no hook) every block
+// runs in a single wave.
 
 template <class MakeWorker, class MakeAcc, class RunBlock, class Merge,
           class EncodeAcc, class DecodeAcc>
@@ -291,16 +208,6 @@ template <class MakeWorker, class MakeAcc, class RunBlock, class Merge,
     CampaignProgress local_progress;
     CampaignProgress& prog = progress != nullptr ? *progress : local_progress;
     prog = {};
-
-    if (!policy.active()) {
-        Acc result = run_sharded_blocks(
-            pool, plan, std::forward<MakeWorker>(make_worker),
-            std::forward<MakeAcc>(make_acc), std::forward<RunBlock>(run_block),
-            std::forward<Merge>(merge), meter, policy.trace_parent);
-        prog.completed_blocks = n_blocks;
-        prog.completed_traces = plan.traces;
-        return result;
-    }
 
     // The merge frontier: (blocks spanned, partial subtree accumulator),
     // spans strictly decreasing powers of two summing to the completed
@@ -435,13 +342,17 @@ template <class MakeWorker, class MakeAcc, class RunBlock, class Merge,
         }
     };
 
+    // One lazily-built replica slot per pool worker.  Each slot is only
+    // ever touched by the pool thread with that index, so no locking.
     std::vector<std::optional<Worker>> replicas(pool.size());
     const std::size_t every =
         policy.every_blocks > 0 ? policy.every_blocks : 16;
     // Waves below 2 blocks/worker would starve the pool; the checkpoint
     // cadence is rounded up accordingly (durability only, never results).
     const std::size_t wave_size =
-        std::max<std::size_t>(every, std::size_t{2} * pool.size());
+        policy.active()
+            ? std::max<std::size_t>(every, std::size_t{2} * pool.size())
+            : n_blocks;
 
     while (next_block < n_blocks) {
         if (policy.cancel != nullptr && policy.cancel->requested()) {

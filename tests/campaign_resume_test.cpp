@@ -146,8 +146,8 @@ TEST(CampaignResume, CancelledRunResumesToIdenticalResult) {
     EXPECT_LT(partial.completed_traces, cancelled_cfg.traces);
     EXPECT_GT(partial.completed_traces, 0u);
     // The partial statistics cover exactly the completed prefix.
-    EXPECT_EQ(partial.campaign.traces(true) + partial.campaign.traces(false),
-              partial.completed_traces);
+    EXPECT_EQ(partial.campaign.count(true) + partial.campaign.count(false),
+              static_cast<double>(partial.completed_traces));
 
     // Phase 2: resume without the token -> runs to completion.
     const DesTvlaConfig resume = small_campaign(path);
@@ -366,6 +366,69 @@ TEST(CampaignResume, SequenceExperimentCheckpointAndResume) {
     EXPECT_EQ(resumed.max_abs_t2, baseline.max_abs_t2);
     EXPECT_EQ(resumed.argmax_cycle, baseline.argmax_cycle);
     std::remove(path.c_str());
+}
+
+TEST(CampaignResume, AllSequencesCheckpointAndReportToOneFileEach) {
+    // An explicit checkpoint path, report path or campaign id names one
+    // sweep, not one campaign: each of the 24 sequences must get its own
+    // tagged file, or the second sequence would refuse the first's
+    // snapshot as a config mismatch.
+    SequenceExperimentConfig config;
+    config.replicas = 2;
+    config.traces = 64;
+    config.seed = 8;
+    config.block_size = 32;
+    config.workers = 2;
+    const std::vector<SequenceLeakResult> baseline = run_all_sequences(config);
+    ASSERT_EQ(baseline.size(), 24u);
+
+    const std::string dir = ::testing::TempDir();
+    SequenceExperimentConfig explicit_paths = config;
+    explicit_paths.run.checkpoint_path = temp_snapshot("sweep.gmsnap");
+    explicit_paths.run.report_path = dir + "glitchmask_sweep.report.json";
+    std::vector<SequenceLeakResult> first;
+    ASSERT_NO_THROW(first = run_all_sequences(explicit_paths));
+    // A second sweep resumes every sequence from its own snapshot.
+    const std::vector<SequenceLeakResult> again =
+        run_all_sequences(explicit_paths);
+    ASSERT_EQ(first.size(), 24u);
+    ASSERT_EQ(again.size(), 24u);
+    for (std::size_t i = 0; i < 24; ++i) {
+        EXPECT_EQ(first[i].max_abs_t1, baseline[i].max_abs_t1) << i;
+        EXPECT_EQ(again[i].max_abs_t1, baseline[i].max_abs_t1) << i;
+        EXPECT_TRUE(again[i].resumed) << i;
+    }
+    for (const SequenceLeakResult& result : first) {
+        std::string tag = "seq_";
+        for (const core::ShareId slot : result.sequence)
+            tag += static_cast<char>('0' + static_cast<int>(slot));
+        const std::string snapshot = dir + "glitchmask_sweep_" + tag + ".gmsnap";
+        const std::string report =
+            dir + "glitchmask_sweep_" + tag + ".report.json";
+        EXPECT_TRUE(read_file_if_exists(snapshot).has_value()) << snapshot;
+        EXPECT_TRUE(read_file_if_exists(report).has_value()) << report;
+        std::remove(snapshot.c_str());
+        std::remove(report.c_str());
+    }
+    EXPECT_FALSE(read_file_if_exists(explicit_paths.run.checkpoint_path));
+
+    // A campaign id under GLITCHMASK_CHECKPOINT_DIR is tagged the same way.
+    SequenceExperimentConfig with_id = config;
+    with_id.run.campaign_id = "glitchmask_sweep_id";
+    ::setenv("GLITCHMASK_CHECKPOINT_DIR", dir.c_str(), 1);
+    std::vector<SequenceLeakResult> by_id;
+    EXPECT_NO_THROW(by_id = run_all_sequences(with_id));
+    ::unsetenv("GLITCHMASK_CHECKPOINT_DIR");
+    EXPECT_EQ(by_id.size(), 24u);
+    for (const SequenceLeakResult& result : by_id) {
+        std::string tag = "seq_";
+        for (const core::ShareId slot : result.sequence)
+            tag += static_cast<char>('0' + static_cast<int>(slot));
+        const std::string snapshot =
+            dir + "/glitchmask_sweep_id_" + tag + ".gmsnap";
+        EXPECT_TRUE(read_file_if_exists(snapshot).has_value()) << snapshot;
+        std::remove(snapshot.c_str());
+    }
 }
 
 TEST(CampaignValidation, RejectsDegenerateConfigsNamingTheField) {
