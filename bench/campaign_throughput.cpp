@@ -59,6 +59,7 @@
 #include "leakage/moment_bank.hpp"
 #include "leakage/tvla.hpp"
 #include "support/env.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/runenv.hpp"
 #include "support/table.hpp"
@@ -472,77 +473,68 @@ int main(int argc, char** argv) {
     std::printf("Compiled-%u speedup over event-64 at 1 worker: %.2fx\n",
                 compiled_best_1w.lanes, compiled_speedup_1w);
 
-    std::string json = "{\n  \"workload\": \"des_ff_tvla\",\n";
-    json += "  \"revision\": \"" + git_revision() + "\",\n";
-    json += "  \"hostname\": \"" + host_name() + "\",\n";
-    json += "  \"utc\": \"" + utc_timestamp() + "\",\n";
-    json += "  \"traces\": " + std::to_string(traces) + ",\n";
-    json += "  \"block_size\": " + std::to_string(kBlockSize) + ",\n";
-    json += "  \"samples\": " + std::to_string(core.total_cycles()) + ",\n";
-    json += "  \"noise_sigma\": " + TablePrinter::num(noise, 3) + ",\n";
-    json += "  \"bytes_per_toggle\": " + TablePrinter::num(kBytesPerToggle, 0) +
-            ",\n";
-    json += std::string("  \"deterministic\": ") +
-            (deterministic ? "true" : "false") + ",\n";
-    json += "  \"batch_speedup_1worker\": " +
-            TablePrinter::num(batch_speedup_1w, 3) + ",\n";
-    json += "  \"compiled_best_lanes\": " +
-            std::to_string(compiled_best_1w.lanes) + ",\n";
-    json += "  \"compiled_speedup_1worker\": " +
-            TablePrinter::num(compiled_speedup_1w, 3) + ",\n";
-    json += "  \"checkpoint_overhead\": " +
-            TablePrinter::num(checkpoint_overhead, 4) + ",\n";
-    json += "  \"telemetry_overhead\": " +
-            TablePrinter::num(telemetry_overhead, 4) + ",\n";
-    json += "  \"trace_off_overhead\": " +
-            TablePrinter::num(trace_off_overhead, 4) + ",\n";
-    json += "  \"trace_overhead\": " +
-            TablePrinter::num(trace_overhead, 4) + ",\n";
-    json += "  \"attribution_off_overhead\": " +
-            TablePrinter::num(attribution_off_overhead, 4) + ",\n";
-    json += "  \"attribution_overhead\": " +
-            TablePrinter::num(attribution_overhead, 4) + ",\n";
-    json += "  \"stats_speedup\": " + TablePrinter::num(stats_speedup, 3) +
-            ",\n";
-    json += "  \"physical_cores\": " + std::to_string(physical_cores) + ",\n";
-    json += "  \"series\": [\n";
-    for (std::size_t i = 0; i < series.size(); ++i) {
-        const Series& s = series[i];
-        json += "    {\"backend\": \"" + s.backend + "\"" +
-                ", \"lanes\": " + std::to_string(s.lanes) +
-                ", \"workers\": " + std::to_string(s.workers) +
-                ", \"checkpoint_every\": " + std::to_string(s.checkpoint_every) +
-                std::string(", \"attribution\": ") +
-                (s.attribution ? "true" : "false") +
-                std::string(", \"oversubscribed\": ") +
-                (s.oversubscribed ? "true" : "false") +
-                ", \"seconds\": " + TablePrinter::num(s.seconds, 4) +
-                ", \"traces_per_sec\": " + TablePrinter::num(s.traces_per_sec, 2) +
-                ", \"toggle_mb_per_sec\": " +
-                TablePrinter::num(s.toggle_mb_per_sec, 2) +
-                ", \"toggles\": " + std::to_string(s.toggles) +
-                ", \"sim_events\": " + std::to_string(s.sim_events) +
-                ", \"sim_glitches\": " + std::to_string(s.sim_glitches) +
-                ", \"sim_inertial_cancels\": " +
-                std::to_string(s.sim_inertial_cancels) +
-                ", \"sim_queue_peak\": " + std::to_string(s.sim_queue_peak) +
-                ", \"speedup\": " + TablePrinter::num(s.speedup, 3) +
-                ", \"max_abs_t1\": " + TablePrinter::num(s.max_abs_t1, 9) +
-                ", \"phases_cpu\": {\"sim\": " +
-                TablePrinter::num(s.phase_sim, 4) +
-                ", \"noise\": " + TablePrinter::num(s.phase_noise, 4) +
-                ", \"moments\": " + TablePrinter::num(s.phase_moments, 4) +
-                ", \"attribution\": " +
-                TablePrinter::num(s.phase_attribution, 4) +
-                ", \"checkpoint\": " +
-                TablePrinter::num(s.phase_checkpoint, 4) + "}}";
-        json += (i + 1 < series.size()) ? ",\n" : "\n";
+    json::JsonWriter w;
+    w.begin_object();
+    w.member("workload", "des_ff_tvla");
+    w.member("revision", git_revision());
+    w.member("hostname", host_name());
+    w.member("utc", utc_timestamp());
+    w.member("traces", static_cast<std::uint64_t>(traces));
+    w.member("block_size", static_cast<std::uint64_t>(kBlockSize));
+    w.member("samples", static_cast<std::uint64_t>(core.total_cycles()));
+    w.member("noise_sigma", noise);
+    w.member("bytes_per_toggle", kBytesPerToggle);
+    w.member("deterministic", deterministic);
+    w.member("batch_speedup_1worker", batch_speedup_1w);
+    w.member("compiled_best_lanes",
+             static_cast<std::uint64_t>(compiled_best_1w.lanes));
+    w.member("compiled_speedup_1worker", compiled_speedup_1w);
+    w.member("checkpoint_overhead", checkpoint_overhead);
+    w.member("telemetry_overhead", telemetry_overhead);
+    w.member("trace_off_overhead", trace_off_overhead);
+    w.member("trace_overhead", trace_overhead);
+    w.member("attribution_off_overhead", attribution_off_overhead);
+    w.member("attribution_overhead", attribution_overhead);
+    w.member("stats_speedup", stats_speedup);
+    w.member("physical_cores", static_cast<std::uint64_t>(physical_cores));
+    w.key("series");
+    w.begin_array();
+    for (const Series& s : series) {
+        w.begin_object();
+        w.member("backend", s.backend);
+        w.member("lanes", static_cast<std::uint64_t>(s.lanes));
+        w.member("workers", static_cast<std::uint64_t>(s.workers));
+        w.member("checkpoint_every",
+                 static_cast<std::uint64_t>(s.checkpoint_every));
+        w.member("attribution", s.attribution);
+        w.member("oversubscribed", s.oversubscribed);
+        w.member("seconds", s.seconds);
+        w.member("traces_per_sec", s.traces_per_sec);
+        w.member("toggle_mb_per_sec", s.toggle_mb_per_sec);
+        w.member("toggles", s.toggles);
+        w.member("sim_events", s.sim_events);
+        w.member("sim_glitches", s.sim_glitches);
+        w.member("sim_inertial_cancels", s.sim_inertial_cancels);
+        w.member("sim_queue_peak", s.sim_queue_peak);
+        w.member("speedup", s.speedup);
+        w.member("max_abs_t1", s.max_abs_t1);
+        w.key("phases_cpu");
+        w.begin_object();
+        w.member("sim", s.phase_sim);
+        w.member("noise", s.phase_noise);
+        w.member("moments", s.phase_moments);
+        w.member("attribution", s.phase_attribution);
+        w.member("checkpoint", s.phase_checkpoint);
+        w.end_object();
+        w.end_object();
     }
-    json += "  ]\n}\n";
+    w.end_array();
+    w.end_object();
+    const std::string text = w.take() + '\n';
 
-    std::fputs(json.c_str(), stdout);
+    std::fputs(text.c_str(), stdout);
     if (std::FILE* f = std::fopen("BENCH_batch_sim.json", "w")) {
-        std::fputs(json.c_str(), f);
+        std::fputs(text.c_str(), f);
         std::fclose(f);
         std::printf("JSON: BENCH_batch_sim.json\n");
     }

@@ -23,7 +23,12 @@
 #                        dump, and the Prometheus exposition file must
 #                        materialize -- all without perturbing the
 #                        result (metrics byte-identical to the clean
-#                        run).
+#                        run);
+#   6. hostile input  -> one client sends a 1 MiB line without a newline,
+#                        one 100,000 '[' bytes, one 50,000 '[' (under the
+#                        line cap, so the parser's depth limit answers):
+#                        each gets a typed rejection and the daemon keeps
+#                        answering stats and submits from other clients.
 #
 # All fault schedules are seeded, so any failure reproduces exactly.
 # Usage: scripts/chaos_smoke.sh BUILDDIR   (e.g. build or build-asan)
@@ -76,7 +81,7 @@ submit_expect_completed() {
 
 metrics_of() { sed -n 's/.*"metrics":{\([^}]*\)}.*/\1/p' <<<"$1"; }
 
-echo "--- chaos smoke 1/5: clean run + cache hit"
+echo "--- chaos smoke 1/6: clean run + cache hit"
 start_daemon
 fresh="$(submit_expect_completed)"
 reference_metrics="$(metrics_of "$fresh")"
@@ -91,7 +96,7 @@ grep -q '"cached":true' <<<"$cached" || {
 }
 stop_daemon
 
-echo "--- chaos smoke 2/5: EINTR storm is absorbed bit-identically"
+echo "--- chaos smoke 2/6: EINTR storm is absorbed bit-identically"
 rm -rf "$work/spool" "$work/state.json"
 GLITCHMASK_FAULTS='seed=9;atomic_file.*=eintr@p=0.35' start_daemon
 stormy="$(submit_expect_completed)"
@@ -101,7 +106,7 @@ stormy="$(submit_expect_completed)"
 }
 stop_daemon
 
-echo "--- chaos smoke 3/5: checkpoint ENOSPC degrades, result still exact"
+echo "--- chaos smoke 3/6: checkpoint ENOSPC degrades, result still exact"
 rm -rf "$work/spool" "$work/state.json"
 start_daemon --faults 'seed=10;atomic_file.fsync=enospc'
 degraded="$(submit_expect_completed)"
@@ -115,7 +120,7 @@ grep -q '"checkpoint_degraded":true' <<<"$degraded" || {
 }
 stop_daemon
 
-echo "--- chaos smoke 4/5: SIGTERM drain, restart resumes from the spool"
+echo "--- chaos smoke 4/6: SIGTERM drain, restart resumes from the spool"
 rm -rf "$work/spool" "$work/state.json"
 start_daemon
 long_request='{"op":"submit","kind":"gadget_tvla","gadget":"trichina","traces":300000,"seed":8}'
@@ -149,7 +154,7 @@ grep -q '"resumed":true' <<<"$resumed" || {
 }
 stop_daemon
 
-echo "--- chaos smoke 5/5: tracing + metrics exposition, result still exact"
+echo "--- chaos smoke 5/6: tracing + metrics exposition, result still exact"
 rm -rf "$work/spool" "$work/state.json"
 mkdir -p "$work/traces"
 start_daemon --trace-dir "$work/traces" --metrics-file "$work/metrics.prom"
@@ -207,4 +212,49 @@ grep -q '^glitchmask_service_execute_nanos_count' "$work/metrics.prom" || {
   exit 1
 }
 
-echo "chaos smoke: all 5 scenarios passed"
+echo "--- chaos smoke 6/6: hostile clients are rejected, others still served"
+rm -rf "$work/spool" "$work/state.json"
+start_daemon
+python3 - "$sock" <<'PY' || {
+import socket, sys
+
+def hostile(payload, reason):
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    s.settimeout(20)
+    s.connect(sys.argv[1])
+    reply = b""
+    try:
+        s.sendall(payload)
+    except (BrokenPipeError, ConnectionResetError):
+        pass  # the daemon hung up mid-send: the line-cap path
+    try:
+        while not reply.endswith(b"\n"):
+            chunk = s.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    except ConnectionResetError:
+        pass
+    s.close()
+    assert b'"event":"rejected"' in reply and reason in reply, reply[:300]
+
+hostile(b"x" * (1 << 20), b"input line exceeds")
+hostile(b"[" * 100000 + b"\n", b"input line exceeds")
+hostile(b"[" * 50000 + b"\n", b"nesting deeper than")
+PY
+  echo "FAIL: a hostile client was not rejected with a typed event" >&2
+  exit 1
+}
+kill -0 "$daemon_pid" 2>/dev/null || {
+  echo "FAIL: daemon died on hostile input (see $work/daemon.log)" >&2
+  exit 1
+}
+stats_line="$("$client" "$sock" '{"op":"stats"}' | tail -1)"
+grep -q '"event":"stats"' <<<"$stats_line" || {
+  echo "FAIL: daemon stopped answering after hostile input: $stats_line" >&2
+  exit 1
+}
+submit_expect_completed >/dev/null
+stop_daemon
+
+echo "chaos smoke: all 6 scenarios passed"

@@ -134,8 +134,8 @@ for preset in "${presets[@]}"; do
     # A perturbed copy (leakage headline changed, timestamp bumped so it
     # sorts newest) must trip the radar: diff exits with the regression
     # code, nothing else.
-    sed -e 's/"max_abs_t1": [-0-9.eE+]*/"max_abs_t1": 99.5/' \
-        -e 's/"utc": "[^"]*"/"utc": "2999-12-31T23:59:59Z"/' \
+    sed -e 's/"max_abs_t1": *[-0-9.eE+]*/"max_abs_t1":99.5/g' \
+        -e 's/"utc": *"[^"]*"/"utc":"2999-12-31T23:59:59Z"/' \
       build/bench/BENCH_batch_sim.json > "$radar_dir/perturbed.json"
     build/src/glitchmask_ledger ingest "$radar_ledger" \
       "$radar_dir/perturbed.json" > /dev/null

@@ -1,9 +1,6 @@
 #include "eval/run_report.hpp"
 
 #include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <span>
 #include <stdexcept>
 
 #include "leakage/attribution.hpp"
@@ -22,278 +19,7 @@ std::int64_t steady_ns() noexcept {
         .count();
 }
 
-void append_escaped(std::string& out, std::string_view text) {
-    out += '"';
-    for (const char c : text) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buffer[8];
-                    std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                                  static_cast<unsigned>(c));
-                    out += buffer;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    out += '"';
-}
-
-void append_double(std::string& out, double value) {
-    if (!std::isfinite(value)) value = 0.0;  // JSON has no NaN/Inf
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%.17g", value);
-    out += buffer;
-}
-
-void append_u64(std::string& out, std::uint64_t value) {
-    out += std::to_string(value);
-}
-
-// ----- parser ------------------------------------------------------------
-
-class Parser {
-public:
-    explicit Parser(std::string_view text) : text_(text) {}
-
-    JsonValue document() {
-        JsonValue value = parse_value();
-        skip_ws();
-        if (pos_ != text_.size()) fail("trailing characters");
-        return value;
-    }
-
-private:
-    [[noreturn]] void fail(const std::string& what) const {
-        throw std::runtime_error("parse_json: " + what + " at byte " +
-                                 std::to_string(pos_));
-    }
-
-    void skip_ws() {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    char peek() {
-        if (pos_ >= text_.size()) fail("unexpected end of input");
-        return text_[pos_];
-    }
-
-    void expect(char c) {
-        if (peek() != c) fail(std::string("expected '") + c + "'");
-        ++pos_;
-    }
-
-    bool consume_literal(std::string_view literal) {
-        if (text_.substr(pos_, literal.size()) != literal) return false;
-        pos_ += literal.size();
-        return true;
-    }
-
-    JsonValue parse_value() {
-        skip_ws();
-        switch (peek()) {
-            case '{': return parse_object();
-            case '[': return parse_array();
-            case '"': {
-                JsonValue value;
-                value.kind = JsonValue::Kind::kString;
-                value.string = parse_string();
-                return value;
-            }
-            case 't': {
-                if (!consume_literal("true")) fail("bad literal");
-                JsonValue value;
-                value.kind = JsonValue::Kind::kBool;
-                value.boolean = true;
-                return value;
-            }
-            case 'f': {
-                if (!consume_literal("false")) fail("bad literal");
-                JsonValue value;
-                value.kind = JsonValue::Kind::kBool;
-                value.boolean = false;
-                return value;
-            }
-            case 'n':
-                if (!consume_literal("null")) fail("bad literal");
-                return JsonValue{};
-            default: return parse_number();
-        }
-    }
-
-    std::string parse_string() {
-        expect('"');
-        std::string out;
-        for (;;) {
-            if (pos_ >= text_.size()) fail("unterminated string");
-            const char c = text_[pos_++];
-            if (c == '"') return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos_ >= text_.size()) fail("unterminated escape");
-            const char esc = text_[pos_++];
-            switch (esc) {
-                case '"': out += '"'; break;
-                case '\\': out += '\\'; break;
-                case '/': out += '/'; break;
-                case 'n': out += '\n'; break;
-                case 'r': out += '\r'; break;
-                case 't': out += '\t'; break;
-                case 'b': out += '\b'; break;
-                case 'f': out += '\f'; break;
-                case 'u': {
-                    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-                    unsigned code = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        const char h = text_[pos_++];
-                        code <<= 4;
-                        if (h >= '0' && h <= '9') code |= h - '0';
-                        else if (h >= 'a' && h <= 'f') code |= h - 'a' + 10;
-                        else if (h >= 'A' && h <= 'F') code |= h - 'A' + 10;
-                        else fail("bad \\u escape");
-                    }
-                    // Reports only emit \u for control chars; keep other
-                    // BMP points as UTF-8.
-                    if (code < 0x80) {
-                        out += static_cast<char>(code);
-                    } else if (code < 0x800) {
-                        out += static_cast<char>(0xC0 | (code >> 6));
-                        out += static_cast<char>(0x80 | (code & 0x3F));
-                    } else {
-                        out += static_cast<char>(0xE0 | (code >> 12));
-                        out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-                        out += static_cast<char>(0x80 | (code & 0x3F));
-                    }
-                    break;
-                }
-                default: fail("bad escape");
-            }
-        }
-    }
-
-    JsonValue parse_number() {
-        const std::size_t start = pos_;
-        bool negative = false;
-        bool integral = true;
-        if (peek() == '-') {
-            negative = true;
-            ++pos_;
-        }
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c >= '0' && c <= '9') {
-                ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
-                       c == '-') {
-                integral = false;
-                ++pos_;
-            } else {
-                break;
-            }
-        }
-        if (pos_ == start + (negative ? 1u : 0u)) fail("bad number");
-        const std::string token(text_.substr(start, pos_ - start));
-        JsonValue value;
-        if (integral && !negative) {
-            // Exact u64 path: fingerprint words must round-trip.
-            value.kind = JsonValue::Kind::kUnsigned;
-            value.unsigned_value = std::stoull(token);
-        } else {
-            value.kind = JsonValue::Kind::kNumber;
-            value.number = std::stod(token);
-        }
-        return value;
-    }
-
-    JsonValue parse_array() {
-        expect('[');
-        JsonValue value;
-        value.kind = JsonValue::Kind::kArray;
-        skip_ws();
-        if (peek() == ']') {
-            ++pos_;
-            return value;
-        }
-        for (;;) {
-            value.array.push_back(parse_value());
-            skip_ws();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect(']');
-            return value;
-        }
-    }
-
-    JsonValue parse_object() {
-        expect('{');
-        JsonValue value;
-        value.kind = JsonValue::Kind::kObject;
-        skip_ws();
-        if (peek() == '}') {
-            ++pos_;
-            return value;
-        }
-        for (;;) {
-            skip_ws();
-            std::string key = parse_string();
-            skip_ws();
-            expect(':');
-            value.object.emplace_back(std::move(key), parse_value());
-            skip_ws();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect('}');
-            return value;
-        }
-    }
-
-    std::string_view text_;
-    std::size_t pos_ = 0;
-};
-
-const JsonValue& require(const JsonValue& object, std::string_view key) {
-    const JsonValue* member = object.find(key);
-    if (member == nullptr)
-        throw std::runtime_error("run report: missing field '" +
-                                 std::string(key) + "'");
-    return *member;
-}
-
-std::uint64_t require_u64(const JsonValue& object, std::string_view key) {
-    const JsonValue& member = require(object, key);
-    if (member.kind != JsonValue::Kind::kUnsigned)
-        throw std::runtime_error("run report: field '" + std::string(key) +
-                                 "' is not an unsigned integer");
-    return member.unsigned_value;
-}
-
 }  // namespace
-
-const JsonValue* JsonValue::find(std::string_view key) const noexcept {
-    if (kind != Kind::kObject) return nullptr;
-    for (const auto& [name, value] : object)
-        if (name == key) return &value;
-    return nullptr;
-}
-
-JsonValue parse_json(std::string_view text) {
-    return Parser(text).document();
-}
 
 std::string resolve_report_path(const CampaignRunOptions& run,
                                 const std::string& default_id) {
@@ -314,171 +40,127 @@ std::string resolve_trace_path(const CampaignRunOptions& run,
     return dir + "/" + id + ".trace.json";
 }
 
-std::string render_run_report(const RunReport& report) {
-    std::string out;
-    out.reserve(2048);
-    out += "{\n  \"schema\": ";
-    append_escaped(out, kRunReportSchema);
-    out += ",\n  \"version\": ";
-    append_u64(out, kRunReportVersion);
-    out += ",\n  \"campaign\": ";
-    append_escaped(out, report.campaign);
-    out += ",\n  \"fingerprint\": {";
-    out += "\"kind\": ";
-    append_u64(out, report.fingerprint.kind);
-    out += ", \"seed\": ";
-    append_u64(out, report.fingerprint.seed);
-    out += ", \"traces\": ";
-    append_u64(out, report.fingerprint.traces);
-    out += ", \"block_size\": ";
-    append_u64(out, report.fingerprint.block_size);
-    out += ", \"payload\": ";
-    append_u64(out, report.fingerprint.payload);
-    out += "},\n  \"workers\": ";
-    append_u64(out, report.workers);
-    out += ",\n  \"lanes\": ";
-    append_u64(out, report.lanes);
-    out += ",\n  \"revision\": ";
-    append_escaped(out, report.revision);
-    out += ",\n  \"hostname\": ";
-    append_escaped(out, report.hostname);
-    out += ",\n  \"utc\": ";
-    append_escaped(out, report.utc);
-    out += ",\n  \"wall_seconds\": ";
-    append_double(out, report.wall_seconds);
-    out += ",\n  \"cpu_seconds\": ";
-    append_double(out, report.cpu_seconds);
-    out += ",\n  \"telemetry_enabled\": ";
-    out += report.telemetry_enabled ? "true" : "false";
-    out += ",\n  \"counters\": {";
-    for (std::size_t i = 0; i < telemetry::kCounterCount; ++i) {
-        if (i != 0) out += ",";
-        out += "\n    ";
-        append_escaped(out,
-                       telemetry::counter_name(static_cast<telemetry::Counter>(i)));
-        out += ": ";
-        append_u64(out, report.counters.values[i]);
-    }
-    out += "\n  },\n  \"histograms\": {";
-    // v3, sparse: only observed families, only nonzero buckets, each
-    // bucket as [floor, count] (the floor maps back to its index via
-    // histogram_bucket()).
-    bool first_histogram = true;
+void write_histograms(json::JsonWriter& w,
+                      const telemetry::Snapshot& snapshot) {
+    w.key("histograms");
+    w.begin_object();
     for (std::size_t i = 0; i < telemetry::kHistogramCount; ++i) {
-        const telemetry::HistogramSnapshot& h = report.counters.histograms[i];
+        const telemetry::HistogramSnapshot& h = snapshot.histograms[i];
         if (h.count == 0) continue;
-        if (!first_histogram) out += ",";
-        first_histogram = false;
-        out += "\n    ";
-        append_escaped(out, telemetry::histogram_name(
-                                static_cast<telemetry::Histogram>(i)));
-        out += ": {\"count\": ";
-        append_u64(out, h.count);
-        out += ", \"sum\": ";
-        append_u64(out, h.sum);
-        out += ", \"max\": ";
-        append_u64(out, h.max);
-        out += ", \"buckets\": [";
-        bool first_bucket = true;
+        w.key(telemetry::histogram_name(static_cast<telemetry::Histogram>(i)));
+        w.begin_object();
+        w.member("count", h.count);
+        w.member("sum", h.sum);
+        w.member("max", h.max);
+        w.key("buckets");
+        w.begin_array();
         for (std::size_t b = 0; b < telemetry::kHistogramBuckets; ++b) {
             if (h.buckets[b] == 0) continue;
-            if (!first_bucket) out += ", ";
-            first_bucket = false;
-            out += "[";
-            append_u64(out, telemetry::histogram_bucket_floor(b));
-            out += ", ";
-            append_u64(out, h.buckets[b]);
-            out += "]";
+            w.begin_array();
+            w.value(telemetry::histogram_bucket_floor(b));
+            w.value(h.buckets[b]);
+            w.end_array();
         }
-        out += "]}";
+        w.end_array();
+        w.end_object();
     }
-    out += first_histogram ? "}" : "\n  }";
-    out += ",\n  \"progress\": {";
-    out += "\"completed_blocks\": ";
-    append_u64(out, report.progress.completed_blocks);
-    out += ", \"completed_traces\": ";
-    append_u64(out, report.progress.completed_traces);
-    out += ", \"resumed\": ";
-    out += report.progress.resumed ? "true" : "false";
-    out += ", \"cancelled\": ";
-    out += report.progress.cancelled ? "true" : "false";
-    out += "},\n  \"checkpoint_blocks\": [";
-    for (std::size_t i = 0; i < report.checkpoint_blocks.size(); ++i) {
-        if (i != 0) out += ", ";
-        append_u64(out, report.checkpoint_blocks[i]);
+    w.end_object();
+}
+
+void write_spans(json::JsonWriter& w,
+                 const std::vector<trace::SpanSummary>& spans) {
+    w.key("spans");
+    w.begin_array();
+    for (const trace::SpanSummary& span : spans) {
+        w.begin_object();
+        w.member("name", span.name);
+        w.member("count", span.count);
+        w.member("total_ns", span.total_ns);
+        w.end_object();
     }
-    out += "],\n  \"metrics\": {";
-    for (std::size_t i = 0; i < report.metrics.size(); ++i) {
-        if (i != 0) out += ",";
-        out += "\n    ";
-        append_escaped(out, report.metrics[i].first);
-        out += ": ";
-        append_double(out, report.metrics[i].second);
-    }
-    out += report.metrics.empty() ? "}" : "\n  }";
+    w.end_array();
+}
+
+std::string render_run_report(const RunReport& report) {
+    json::JsonWriter w;
+    w.begin_object();
+    w.member("schema", kRunReportSchema);
+    w.member("version", static_cast<std::uint64_t>(kRunReportVersion));
+    w.member("campaign", report.campaign);
+    w.key("fingerprint");
+    w.begin_object();
+    w.member("kind", report.fingerprint.kind);
+    w.member("seed", report.fingerprint.seed);
+    w.member("traces", report.fingerprint.traces);
+    w.member("block_size", report.fingerprint.block_size);
+    w.member("payload", report.fingerprint.payload);
+    w.end_object();
+    w.member("workers", static_cast<std::uint64_t>(report.workers));
+    w.member("lanes", static_cast<std::uint64_t>(report.lanes));
+    w.member("revision", report.revision);
+    w.member("hostname", report.hostname);
+    w.member("utc", report.utc);
+    w.member("wall_seconds", report.wall_seconds);
+    w.member("cpu_seconds", report.cpu_seconds);
+    w.member("telemetry_enabled", report.telemetry_enabled);
+    w.key("counters");
+    w.begin_object();
+    for (std::size_t i = 0; i < telemetry::kCounterCount; ++i)
+        w.member(telemetry::counter_name(static_cast<telemetry::Counter>(i)),
+                 report.counters.values[i]);
+    w.end_object();
+    write_histograms(w, report.counters);  // v3
+    w.key("progress");
+    w.begin_object();
+    w.member("completed_blocks",
+             static_cast<std::uint64_t>(report.progress.completed_blocks));
+    w.member("completed_traces",
+             static_cast<std::uint64_t>(report.progress.completed_traces));
+    w.member("resumed", report.progress.resumed);
+    w.member("cancelled", report.progress.cancelled);
+    w.end_object();
+    w.key("checkpoint_blocks");
+    w.begin_array();
+    for (const std::uint64_t mark : report.checkpoint_blocks) w.value(mark);
+    w.end_array();
+    w.key("metrics");
+    w.begin_object();
+    for (const auto& [name, value] : report.metrics) w.member(name, value);
+    w.end_object();
     if (report.attribution.enabled) {
         const AttributionReport& attr = report.attribution;
-        out += ",\n  \"attribution\": {\n    \"top_k\": ";
-        append_u64(out, attr.top_k);
-        out += ",\n    \"scope\": ";
-        append_escaped(out, attr.scope);
-        out += ",\n    \"traces_fixed\": ";
-        append_u64(out, attr.traces_fixed);
-        out += ",\n    \"traces_random\": ";
-        append_u64(out, attr.traces_random);
-        out += ",\n    \"nets\": [";
-        for (std::size_t i = 0; i < attr.nets.size(); ++i) {
-            const AttributionNetReport& net = attr.nets[i];
-            out += i != 0 ? "," : "";
-            out += "\n      {\"net\": ";
-            append_u64(out, net.net);
-            out += ", \"name\": ";
-            append_escaped(out, net.name);
-            out += ", \"kind\": ";
-            append_escaped(out, net.kind);
-            out += ", \"module\": ";
-            append_escaped(out, net.module);
-            out += ", \"max_abs_t\": ";
-            append_double(out, net.max_abs_t);
-            out += ", \"argmax_window\": ";
-            append_u64(out, net.argmax_window);
-            out += ", \"snr\": ";
-            append_double(out, net.snr);
-            out += ", \"toggles\": ";
-            append_u64(out, net.toggles);
-            out += ", \"glitches\": ";
-            append_u64(out, net.glitches);
-            out += ", \"glitch_density\": ";
-            append_double(out, net.glitch_density);
-            out += "}";
+        w.key("attribution");
+        w.begin_object();
+        w.member("top_k", attr.top_k);
+        w.member("scope", attr.scope);
+        w.member("traces_fixed", attr.traces_fixed);
+        w.member("traces_random", attr.traces_random);
+        w.key("nets");
+        w.begin_array();
+        for (const AttributionNetReport& net : attr.nets) {
+            w.begin_object();
+            w.member("net", net.net);
+            w.member("name", net.name);
+            w.member("kind", net.kind);
+            w.member("module", net.module);
+            w.member("max_abs_t", net.max_abs_t);
+            w.member("argmax_window", net.argmax_window);
+            w.member("snr", net.snr);
+            w.member("toggles", net.toggles);
+            w.member("glitches", net.glitches);
+            w.member("glitch_density", net.glitch_density);
+            w.end_object();
         }
-        out += attr.nets.empty() ? "]\n  }" : "\n    ]\n  }";
+        w.end_array();
+        w.end_object();
     }
-    if (!report.spans.empty()) {
-        out += ",\n  \"spans\": [";
-        for (std::size_t i = 0; i < report.spans.size(); ++i) {
-            const trace::SpanSummary& span = report.spans[i];
-            out += i != 0 ? "," : "";
-            out += "\n    {\"name\": ";
-            append_escaped(out, span.name);
-            out += ", \"count\": ";
-            append_u64(out, span.count);
-            out += ", \"total_ns\": ";
-            append_u64(out, span.total_ns);
-            out += "}";
-        }
-        out += "\n  ]";
-    }
-    out += "\n}\n";
-    return out;
+    if (!report.spans.empty()) write_spans(w, report.spans);
+    w.end_object();
+    return w.take() + '\n';
 }
 
 void write_run_report(const std::string& path, const RunReport& report) {
-    const std::string text = render_run_report(report);
-    atomic_write_file(path,
-                      std::span<const std::uint8_t>(
-                          reinterpret_cast<const std::uint8_t*>(text.data()),
-                          text.size()));
+    atomic_write_file(path, render_run_report(report));
 }
 
 std::optional<RunReport> read_run_report(const std::string& path) {
@@ -492,35 +174,38 @@ std::optional<RunReport> read_run_report(const std::string& path) {
 RunReport decode_run_report(const JsonValue& root) {
     if (root.kind != JsonValue::Kind::kObject)
         throw std::runtime_error("run report: not a JSON object");
-    const JsonValue& schema = require(root, "schema");
-    if (schema.string != kRunReportSchema)
-        throw std::runtime_error("run report: unexpected schema '" +
-                                 schema.string + "'");
-    const std::uint64_t version = require_u64(root, "version");
+    const auto field = [](const JsonValue& object, std::string_view key) {
+        return json::require(object, key, "run report");
+    };
+    const std::string& schema = field(root, "schema").string();
+    if (schema != kRunReportSchema)
+        throw std::runtime_error("run report: unexpected schema '" + schema +
+                                 "'");
+    const std::uint64_t version = field(root, "version").u64();
     if (version < 1 || version > kRunReportVersion)
         throw std::runtime_error("run report: unsupported version " +
                                  std::to_string(version));
 
     RunReport report;
-    report.campaign = require(root, "campaign").string;
-    const JsonValue& fp = require(root, "fingerprint");
-    report.fingerprint.kind = require_u64(fp, "kind");
-    report.fingerprint.seed = require_u64(fp, "seed");
-    report.fingerprint.traces = require_u64(fp, "traces");
-    report.fingerprint.block_size = require_u64(fp, "block_size");
-    report.fingerprint.payload = require_u64(fp, "payload");
-    report.workers = static_cast<unsigned>(require_u64(root, "workers"));
-    report.lanes = static_cast<unsigned>(require_u64(root, "lanes"));
+    report.campaign = field(root, "campaign").string();
+    const JsonValue& fp = field(root, "fingerprint").value;
+    report.fingerprint.kind = field(fp, "kind").u64();
+    report.fingerprint.seed = field(fp, "seed").u64();
+    report.fingerprint.traces = field(fp, "traces").u64();
+    report.fingerprint.block_size = field(fp, "block_size").u64();
+    report.fingerprint.payload = field(fp, "payload").u64();
+    report.workers = static_cast<unsigned>(field(root, "workers").u64());
+    report.lanes = static_cast<unsigned>(field(root, "lanes").u64());
     // v4 attribution fields; absent in v1-v3 files.
     if (const JsonValue* revision = root.find("revision"))
         report.revision = revision->string;
     if (const JsonValue* hostname = root.find("hostname"))
         report.hostname = hostname->string;
     if (const JsonValue* utc = root.find("utc")) report.utc = utc->string;
-    report.wall_seconds = require(root, "wall_seconds").as_number();
-    report.cpu_seconds = require(root, "cpu_seconds").as_number();
-    report.telemetry_enabled = require(root, "telemetry_enabled").boolean;
-    const JsonValue& counters = require(root, "counters");
+    report.wall_seconds = field(root, "wall_seconds").number();
+    report.cpu_seconds = field(root, "cpu_seconds").number();
+    report.telemetry_enabled = field(root, "telemetry_enabled").boolean();
+    const JsonValue& counters = field(root, "counters").value;
     for (std::size_t i = 0; i < telemetry::kCounterCount; ++i) {
         const char* name =
             telemetry::counter_name(static_cast<telemetry::Counter>(i));
@@ -535,10 +220,10 @@ RunReport decode_run_report(const JsonValue& root) {
             const JsonValue* cell = histograms->find(name);
             if (cell == nullptr) continue;
             telemetry::HistogramSnapshot& h = report.counters.histograms[i];
-            h.count = require_u64(*cell, "count");
-            h.sum = require_u64(*cell, "sum");
-            h.max = require_u64(*cell, "max");
-            for (const JsonValue& pair : require(*cell, "buckets").array) {
+            h.count = field(*cell, "count").u64();
+            h.sum = field(*cell, "sum").u64();
+            h.max = field(*cell, "max").u64();
+            for (const JsonValue& pair : field(*cell, "buckets").value.array) {
                 if (pair.kind != JsonValue::Kind::kArray ||
                     pair.array.size() != 2)
                     throw std::runtime_error(
@@ -550,36 +235,36 @@ RunReport decode_run_report(const JsonValue& root) {
             }
         }
     }
-    const JsonValue& progress = require(root, "progress");
+    const JsonValue& progress = field(root, "progress").value;
     report.progress.completed_blocks =
-        static_cast<std::size_t>(require_u64(progress, "completed_blocks"));
+        static_cast<std::size_t>(field(progress, "completed_blocks").u64());
     report.progress.completed_traces =
-        static_cast<std::size_t>(require_u64(progress, "completed_traces"));
-    report.progress.resumed = require(progress, "resumed").boolean;
-    report.progress.cancelled = require(progress, "cancelled").boolean;
-    for (const JsonValue& mark : require(root, "checkpoint_blocks").array)
+        static_cast<std::size_t>(field(progress, "completed_traces").u64());
+    report.progress.resumed = field(progress, "resumed").boolean();
+    report.progress.cancelled = field(progress, "cancelled").boolean();
+    for (const JsonValue& mark : field(root, "checkpoint_blocks").value.array)
         report.checkpoint_blocks.push_back(mark.unsigned_value);
-    for (const auto& [name, value] : require(root, "metrics").object)
+    for (const auto& [name, value] : field(root, "metrics").value.object)
         report.metrics.emplace_back(name, value.as_number());
     // v2 section; absent in v1 files and in unattributed v2 runs.
     if (const JsonValue* attr = root.find("attribution")) {
         report.attribution.enabled = true;
-        report.attribution.top_k = require_u64(*attr, "top_k");
-        report.attribution.scope = require(*attr, "scope").string;
-        report.attribution.traces_fixed = require_u64(*attr, "traces_fixed");
-        report.attribution.traces_random = require_u64(*attr, "traces_random");
-        for (const JsonValue& entry : require(*attr, "nets").array) {
+        report.attribution.top_k = field(*attr, "top_k").u64();
+        report.attribution.scope = field(*attr, "scope").string();
+        report.attribution.traces_fixed = field(*attr, "traces_fixed").u64();
+        report.attribution.traces_random = field(*attr, "traces_random").u64();
+        for (const JsonValue& entry : field(*attr, "nets").value.array) {
             AttributionNetReport net;
-            net.net = require_u64(entry, "net");
-            net.name = require(entry, "name").string;
-            net.kind = require(entry, "kind").string;
-            net.module = require(entry, "module").string;
-            net.max_abs_t = require(entry, "max_abs_t").as_number();
-            net.argmax_window = require_u64(entry, "argmax_window");
-            net.snr = require(entry, "snr").as_number();
-            net.toggles = require_u64(entry, "toggles");
-            net.glitches = require_u64(entry, "glitches");
-            net.glitch_density = require(entry, "glitch_density").as_number();
+            net.net = field(entry, "net").u64();
+            net.name = field(entry, "name").string();
+            net.kind = field(entry, "kind").string();
+            net.module = field(entry, "module").string();
+            net.max_abs_t = field(entry, "max_abs_t").number();
+            net.argmax_window = field(entry, "argmax_window").u64();
+            net.snr = field(entry, "snr").number();
+            net.toggles = field(entry, "toggles").u64();
+            net.glitches = field(entry, "glitches").u64();
+            net.glitch_density = field(entry, "glitch_density").number();
             report.attribution.nets.push_back(std::move(net));
         }
     }
@@ -587,9 +272,9 @@ RunReport decode_run_report(const JsonValue& root) {
     if (const JsonValue* spans = root.find("spans")) {
         for (const JsonValue& entry : spans->array) {
             trace::SpanSummary span;
-            span.name = require(entry, "name").string;
-            span.count = require_u64(entry, "count");
-            span.total_ns = require_u64(entry, "total_ns");
+            span.name = field(entry, "name").string();
+            span.count = field(entry, "count").u64();
+            span.total_ns = field(entry, "total_ns").u64();
             report.spans.push_back(std::move(span));
         }
     }

@@ -14,10 +14,10 @@
 // env var is set, otherwise no report.  Note an explicit path is
 // overwritten on every run (same contract as checkpoint_path).
 //
-// The JSON subset used is deliberately tiny; parse_json() reads it back
-// keeping unsigned integer literals exact at 64 bits (fingerprint words
-// do not survive a double round-trip), which the schema round-trip test
-// relies on.
+// Reports are written and read through support/json.hpp, which keeps
+// unsigned integer literals exact at 64 bits (fingerprint words do not
+// survive a double round-trip) -- the schema round-trip test relies on
+// it.  This header re-exports its reader under eval:: for older callers.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "eval/checkpoint.hpp"
+#include "support/json.hpp"
 #include "support/telemetry.hpp"
 #include "support/trace.hpp"
 
@@ -123,41 +124,26 @@ struct RunReport {
 [[nodiscard]] std::string resolve_trace_path(const CampaignRunOptions& run,
                                              const std::string& default_id);
 
-/// Serializes the report as pretty-printed JSON (trailing newline).
+/// The "histograms" member shared by reports and the daemon's metrics
+/// verb: sparse -- only observed families, only nonzero buckets, each
+/// bucket as [floor, count] (histogram_bucket() maps a floor back to its
+/// index).
+void write_histograms(json::JsonWriter& w,
+                      const telemetry::Snapshot& snapshot);
+
+/// The "spans" member: [{"name":...,"count":...,"total_ns":...},...].
+void write_spans(json::JsonWriter& w,
+                 const std::vector<trace::SpanSummary>& spans);
+
+/// Serializes the report as single-line JSON plus a trailing newline.
 [[nodiscard]] std::string render_run_report(const RunReport& report);
 
 /// render + atomic_write_file; throws CampaignError{IoFailure} on I/O
 /// errors.
 void write_run_report(const std::string& path, const RunReport& report);
 
-// ----- minimal JSON reader ----------------------------------------------
-
-/// Parsed JSON value.  Non-negative integer literals stay exact u64s
-/// (kind Unsigned); anything with a sign, fraction or exponent becomes a
-/// double (kind Number).
-struct JsonValue {
-    enum class Kind { kNull, kBool, kUnsigned, kNumber, kString, kArray, kObject };
-
-    Kind kind = Kind::kNull;
-    bool boolean = false;
-    std::uint64_t unsigned_value = 0;
-    double number = 0.0;
-    std::string string;
-    std::vector<JsonValue> array;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    /// Object member lookup; nullptr when absent or not an object.
-    [[nodiscard]] const JsonValue* find(std::string_view key) const noexcept;
-    /// Numeric view: exact for Unsigned, lossy for large doubles.
-    [[nodiscard]] double as_number() const noexcept {
-        return kind == Kind::kUnsigned ? static_cast<double>(unsigned_value)
-                                       : number;
-    }
-};
-
-/// Parses one JSON document (object/array/scalar); throws
-/// std::runtime_error with a byte offset on malformed input.
-[[nodiscard]] JsonValue parse_json(std::string_view text);
+using JsonValue = json::JsonValue;
+using json::parse_json;
 
 /// Decodes a parsed report document (any accepted schema version); throws
 /// std::runtime_error on schema violations.  Exposed so the ledger can

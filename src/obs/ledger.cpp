@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cerrno>
-#include <cmath>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <span>
@@ -12,9 +12,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "service/json_writer.hpp"
 #include "support/atomic_file.hpp"
 #include "support/campaign_error.hpp"
+#include "support/json.hpp"
 #include "support/snapshot.hpp"
 #include "support/telemetry.hpp"
 
@@ -22,29 +22,14 @@ namespace glitchmask::obs {
 
 namespace {
 
-using eval::JsonValue;
+using json::JsonValue;
 
 std::span<const std::uint8_t> as_bytes(std::string_view text) {
     return {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()};
 }
 
-/// JSON has no NaN/Inf; mirror run_report's policy of flattening them.
-double finite(double value) { return std::isfinite(value) ? value : 0.0; }
-
-const JsonValue& require(const JsonValue& object, std::string_view key) {
-    const JsonValue* member = object.find(key);
-    if (member == nullptr)
-        throw std::runtime_error("ledger entry: missing field '" +
-                                 std::string(key) + "'");
-    return *member;
-}
-
-std::uint64_t require_u64(const JsonValue& object, std::string_view key) {
-    const JsonValue& member = require(object, key);
-    if (member.kind != JsonValue::Kind::kUnsigned)
-        throw std::runtime_error("ledger entry: field '" + std::string(key) +
-                                 "' is not an unsigned integer");
-    return member.unsigned_value;
+json::Member field(const JsonValue& object, std::string_view key) {
+    return json::require(object, key, "ledger entry");
 }
 
 /// One line minus its '\n': validates the CRC wrapper and the checksum,
@@ -53,28 +38,20 @@ std::uint64_t require_u64(const JsonValue& object, std::string_view key) {
 LedgerEntry decode_line(std::string_view line) {
     constexpr std::string_view kPrefix = "{\"crc32\":";
     constexpr std::string_view kMiddle = ",\"entry\":";
-    if (line.substr(0, kPrefix.size()) != kPrefix)
-        throw std::runtime_error("ledger line: bad wrapper prefix");
-    std::size_t i = kPrefix.size();
-    std::uint64_t crc = 0;
-    bool digits = false;
-    while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
-        crc = crc * 10 + static_cast<std::uint64_t>(line[i] - '0');
-        if (crc > 0xFFFFFFFFull)
-            throw std::runtime_error("ledger line: CRC out of range");
-        ++i;
-        digits = true;
-    }
-    if (!digits) throw std::runtime_error("ledger line: missing CRC");
-    if (line.substr(i, kMiddle.size()) != kMiddle)
-        throw std::runtime_error("ledger line: bad wrapper middle");
-    i += kMiddle.size();
-    if (line.size() <= i || line.back() != '}')
-        throw std::runtime_error("ledger line: truncated wrapper");
-    const std::string_view body = line.substr(i, line.size() - 1 - i);
-    if (crc32(as_bytes(body)) != static_cast<std::uint32_t>(crc))
+    const std::size_t middle = line.find(kMiddle);
+    if (!line.starts_with(kPrefix) || middle == std::string_view::npos ||
+        line.back() != '}')
+        throw std::runtime_error("ledger line: bad wrapper");
+    std::uint32_t crc = 0;
+    const char* crc_end = line.data() + middle;
+    const auto [end, error] =
+        std::from_chars(line.data() + kPrefix.size(), crc_end, crc);
+    const std::size_t body_start = middle + kMiddle.size();
+    const std::string_view body =
+        line.substr(body_start, line.size() - 1 - body_start);
+    if (error != std::errc() || end != crc_end || crc32(as_bytes(body)) != crc)
         throw std::runtime_error("ledger line: CRC mismatch");
-    return decode_ledger_entry(eval::parse_json(body));
+    return decode_ledger_entry(json::parse_json(body));
 }
 
 }  // namespace
@@ -95,7 +72,7 @@ std::string fingerprint_key(const eval::CampaignFingerprint& fingerprint) {
 }
 
 std::string render_ledger_entry(const LedgerEntry& entry) {
-    service::JsonWriter w;
+    json::JsonWriter w;
     w.begin_object();
     w.member("schema", kLedgerSchema);
     w.member("version", static_cast<std::uint64_t>(kLedgerVersion));
@@ -116,9 +93,9 @@ std::string render_ledger_entry(const LedgerEntry& entry) {
     w.member("backend", entry.backend);
     w.member("workers", static_cast<std::uint64_t>(entry.workers));
     w.member("lanes", static_cast<std::uint64_t>(entry.lanes));
-    w.member("wall_seconds", finite(entry.wall_seconds));
-    w.member("cpu_seconds", finite(entry.cpu_seconds));
-    w.member("max_abs_t1", finite(entry.max_abs_t1));
+    w.member("wall_seconds", entry.wall_seconds);
+    w.member("cpu_seconds", entry.cpu_seconds);
+    w.member("max_abs_t1", entry.max_abs_t1);
     w.member("toggles", entry.toggles);
     w.key("attribution");
     w.begin_array();
@@ -126,7 +103,7 @@ std::string render_ledger_entry(const LedgerEntry& entry) {
         w.begin_object();
         w.member("net", net.net);
         w.member("name", net.name);
-        w.member("max_abs_t", finite(net.max_abs_t));
+        w.member("max_abs_t", net.max_abs_t);
         w.member("toggles", net.toggles);
         w.member("glitches", net.glitches);
         w.end_object();
@@ -137,14 +114,14 @@ std::string render_ledger_entry(const LedgerEntry& entry) {
     for (const LedgerPhase& phase : entry.phases) {
         w.begin_object();
         w.member("name", phase.name);
-        w.member("cpu_seconds", finite(phase.cpu_seconds));
-        w.member("wall_seconds", finite(phase.wall_seconds));
+        w.member("cpu_seconds", phase.cpu_seconds);
+        w.member("wall_seconds", phase.wall_seconds);
         w.end_object();
     }
     w.end_array();
     w.key("metrics");
     w.begin_object();
-    for (const auto& [name, value] : entry.metrics) w.member(name, finite(value));
+    for (const auto& [name, value] : entry.metrics) w.member(name, value);
     w.end_object();
     w.end_object();
     return w.take();
@@ -152,65 +129,59 @@ std::string render_ledger_entry(const LedgerEntry& entry) {
 
 std::string render_ledger_line(const LedgerEntry& entry) {
     const std::string body = render_ledger_entry(entry);
-    std::string line;
-    line.reserve(body.size() + 32);
-    line += "{\"crc32\":";
-    line += std::to_string(crc32(as_bytes(body)));
-    line += ",\"entry\":";
-    line += body;
-    line += "}\n";
-    return line;
+    return "{\"crc32\":" + std::to_string(crc32(as_bytes(body))) +
+           ",\"entry\":" + body + "}\n";
 }
 
 LedgerEntry decode_ledger_entry(const JsonValue& json) {
     if (json.kind != JsonValue::Kind::kObject)
         throw std::runtime_error("ledger entry: not a JSON object");
-    const JsonValue& schema = require(json, "schema");
-    if (schema.string != kLedgerSchema)
-        throw std::runtime_error("ledger entry: unexpected schema '" +
-                                 schema.string + "'");
-    const std::uint64_t version = require_u64(json, "version");
+    const std::string& schema = field(json, "schema").string();
+    if (schema != kLedgerSchema)
+        throw std::runtime_error("ledger entry: unexpected schema '" + schema +
+                                 "'");
+    const std::uint64_t version = field(json, "version").u64();
     if (version < 1 || version > kLedgerVersion)
         throw std::runtime_error("ledger entry: unsupported version " +
                                  std::to_string(version));
 
     LedgerEntry entry;
-    entry.source = require(json, "source").string;
-    entry.campaign = require(json, "campaign").string;
-    const JsonValue& fp = require(json, "fingerprint");
-    entry.fingerprint.kind = require_u64(fp, "kind");
-    entry.fingerprint.seed = require_u64(fp, "seed");
-    entry.fingerprint.traces = require_u64(fp, "traces");
-    entry.fingerprint.block_size = require_u64(fp, "block_size");
-    entry.fingerprint.payload = require_u64(fp, "payload");
-    entry.revision = require(json, "revision").string;
-    entry.host = require(json, "host").string;
-    entry.utc = require(json, "utc").string;
-    entry.status = require(json, "status").string;
-    entry.backend = require(json, "backend").string;
-    entry.workers = static_cast<unsigned>(require_u64(json, "workers"));
-    entry.lanes = static_cast<unsigned>(require_u64(json, "lanes"));
-    entry.wall_seconds = require(json, "wall_seconds").as_number();
-    entry.cpu_seconds = require(json, "cpu_seconds").as_number();
-    entry.max_abs_t1 = require(json, "max_abs_t1").as_number();
-    entry.toggles = require_u64(json, "toggles");
-    for (const JsonValue& net_json : require(json, "attribution").array) {
+    entry.source = field(json, "source").string();
+    entry.campaign = field(json, "campaign").string();
+    const JsonValue& fp = field(json, "fingerprint").value;
+    entry.fingerprint.kind = field(fp, "kind").u64();
+    entry.fingerprint.seed = field(fp, "seed").u64();
+    entry.fingerprint.traces = field(fp, "traces").u64();
+    entry.fingerprint.block_size = field(fp, "block_size").u64();
+    entry.fingerprint.payload = field(fp, "payload").u64();
+    entry.revision = field(json, "revision").string();
+    entry.host = field(json, "host").string();
+    entry.utc = field(json, "utc").string();
+    entry.status = field(json, "status").string();
+    entry.backend = field(json, "backend").string();
+    entry.workers = static_cast<unsigned>(field(json, "workers").u64());
+    entry.lanes = static_cast<unsigned>(field(json, "lanes").u64());
+    entry.wall_seconds = field(json, "wall_seconds").number();
+    entry.cpu_seconds = field(json, "cpu_seconds").number();
+    entry.max_abs_t1 = field(json, "max_abs_t1").number();
+    entry.toggles = field(json, "toggles").u64();
+    for (const JsonValue& net_json : field(json, "attribution").value.array) {
         LedgerNet net;
-        net.net = require_u64(net_json, "net");
-        net.name = require(net_json, "name").string;
-        net.max_abs_t = require(net_json, "max_abs_t").as_number();
-        net.toggles = require_u64(net_json, "toggles");
-        net.glitches = require_u64(net_json, "glitches");
+        net.net = field(net_json, "net").u64();
+        net.name = field(net_json, "name").string();
+        net.max_abs_t = field(net_json, "max_abs_t").number();
+        net.toggles = field(net_json, "toggles").u64();
+        net.glitches = field(net_json, "glitches").u64();
         entry.attribution.push_back(std::move(net));
     }
-    for (const JsonValue& phase_json : require(json, "phases").array) {
+    for (const JsonValue& phase_json : field(json, "phases").value.array) {
         LedgerPhase phase;
-        phase.name = require(phase_json, "name").string;
-        phase.cpu_seconds = require(phase_json, "cpu_seconds").as_number();
-        phase.wall_seconds = require(phase_json, "wall_seconds").as_number();
+        phase.name = field(phase_json, "name").string();
+        phase.cpu_seconds = field(phase_json, "cpu_seconds").number();
+        phase.wall_seconds = field(phase_json, "wall_seconds").number();
         entry.phases.push_back(std::move(phase));
     }
-    for (const auto& [name, value] : require(json, "metrics").object)
+    for (const auto& [name, value] : field(json, "metrics").value.object)
         entry.metrics.emplace_back(name, value.as_number());
     return entry;
 }
@@ -352,9 +323,9 @@ LedgerEntry entry_from_run_report(const eval::RunReport& report) {
 std::vector<LedgerEntry> entries_from_bench_json(const JsonValue& json) {
     if (json.kind != JsonValue::Kind::kObject)
         throw std::runtime_error("bench ingest: not a JSON object");
-    const std::string workload = require(json, "workload").string;
-    const std::uint64_t traces = require_u64(json, "traces");
-    const std::uint64_t block_size = require_u64(json, "block_size");
+    const std::string workload = field(json, "workload").string();
+    const std::uint64_t traces = field(json, "traces").u64();
+    const std::uint64_t block_size = field(json, "block_size").u64();
     std::string revision, host, utc;
     if (const JsonValue* v = json.find("revision")) revision = v->string;
     if (const JsonValue* v = json.find("hostname")) host = v->string;
@@ -401,15 +372,15 @@ std::vector<LedgerEntry> entries_from_bench_json(const JsonValue& json) {
         entries.push_back(std::move(headline));
     }
 
-    const JsonValue& series = require(json, "series");
+    const JsonValue& series = field(json, "series").value;
     for (const JsonValue& row : series.array) {
         LedgerEntry entry;
         entry.source = "bench";
-        entry.backend = require(row, "backend").string;
-        entry.lanes = static_cast<unsigned>(require_u64(row, "lanes"));
-        entry.workers = static_cast<unsigned>(require_u64(row, "workers"));
+        entry.backend = field(row, "backend").string();
+        entry.lanes = static_cast<unsigned>(field(row, "lanes").u64());
+        entry.workers = static_cast<unsigned>(field(row, "workers").u64());
         const std::uint64_t checkpoint_every =
-            require_u64(row, "checkpoint_every");
+            field(row, "checkpoint_every").u64();
         bool attribution = false;
         if (const JsonValue* v = row.find("attribution"))
             attribution = v->boolean;
@@ -439,9 +410,9 @@ std::vector<LedgerEntry> entries_from_bench_json(const JsonValue& json) {
         entry.revision = revision;
         entry.host = host;
         entry.utc = utc;
-        entry.wall_seconds = require(row, "seconds").as_number();
-        entry.max_abs_t1 = require(row, "max_abs_t1").as_number();
-        entry.toggles = require_u64(row, "toggles");
+        entry.wall_seconds = field(row, "seconds").number();
+        entry.max_abs_t1 = field(row, "max_abs_t1").number();
+        entry.toggles = field(row, "toggles").u64();
         for (const char* name :
              {"traces_per_sec", "toggle_mb_per_sec", "speedup", "sim_events",
               "sim_glitches", "sim_inertial_cancels", "sim_queue_peak"}) {
@@ -470,7 +441,7 @@ std::vector<LedgerEntry> entries_from_bench_json(const JsonValue& json) {
 
 std::vector<LedgerEntry> entries_from_file_text(std::string_view text,
                                                 const IngestOverrides& overrides) {
-    const JsonValue root = eval::parse_json(text);
+    const JsonValue root = json::parse_json(text);
     if (root.kind != JsonValue::Kind::kObject)
         throw std::runtime_error("ledger ingest: not a JSON object");
     std::vector<LedgerEntry> entries;

@@ -20,10 +20,10 @@
 // writes, so concurrent writers interleave at line granularity; readers
 // verify each line's CRC and *skip* corrupt or truncated lines (counting
 // them) instead of failing -- a torn tail must never cost the intact
-// prefix.  Doubles are rendered with %.17g, so every value -- including
-// full-range u64 counters, which stay bare digit runs -- round-trips
-// bit-exactly; "bit-identical" verdicts downstream are therefore real
-// bit comparisons, not epsilon tests.
+// prefix.  Entries are written by support/json.hpp, whose number policy
+// round-trips every value bit-exactly -- including full-range u64
+// counters, which stay bare digit runs -- so "bit-identical" verdicts
+// downstream are real bit comparisons, not epsilon tests.
 //
 // Entries are ingested from three producers:
 //   * run report files (eval/run_report.hpp, any schema version),
@@ -115,7 +115,7 @@ struct LedgerEntry {
 
 /// Decodes the *entry object* (not the CRC wrapper); throws
 /// std::runtime_error naming the problem on schema violations.
-[[nodiscard]] LedgerEntry decode_ledger_entry(const eval::JsonValue& json);
+[[nodiscard]] LedgerEntry decode_ledger_entry(const json::JsonValue& json);
 
 struct LedgerFile {
     std::vector<LedgerEntry> entries;  // file order (append order)
@@ -156,7 +156,7 @@ struct IngestOverrides {
 /// figures.  Accepts both the current "phases_cpu" key and the legacy
 /// "phases" name.
 [[nodiscard]] std::vector<LedgerEntry> entries_from_bench_json(
-    const eval::JsonValue& json);
+    const json::JsonValue& json);
 
 /// Classifies + converts one producer file (run report or bench JSON) and
 /// applies the overrides.  Throws std::runtime_error on unrecognized

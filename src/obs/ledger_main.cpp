@@ -43,6 +43,7 @@
 #include "obs/ledger.hpp"
 #include "obs/regression.hpp"
 #include "support/atomic_file.hpp"
+#include "support/json.hpp"
 #include "support/runenv.hpp"
 #include "support/table.hpp"
 
@@ -329,8 +330,7 @@ int run_report(int argc, char** argv) {
 
 int run_gate(int argc, char** argv) {
     if (argc < 3) return usage();
-    const eval::JsonValue root =
-        eval::parse_json(read_text_file(argv[2]));
+    const json::JsonValue root = json::parse_json(read_text_file(argv[2]));
     struct Bar {
         std::string key;
         double bound = 0.0;
@@ -351,10 +351,10 @@ int run_gate(int argc, char** argv) {
     if (bars.empty()) return usage();
     bool violated = false;
     for (const Bar& bar : bars) {
-        const eval::JsonValue* value = root.find(bar.key);
+        const json::JsonValue* value = root.find(bar.key);
         if (value == nullptr ||
-            (value->kind != eval::JsonValue::Kind::kUnsigned &&
-             value->kind != eval::JsonValue::Kind::kNumber)) {
+            (value->kind != json::JsonValue::Kind::kUnsigned &&
+             value->kind != json::JsonValue::Kind::kNumber)) {
             std::fprintf(stderr, "FAIL: %s missing from %s\n", bar.key.c_str(),
                          argv[2]);
             return kExitError;

@@ -5,41 +5,12 @@
 #include <string_view>
 
 #include "obs/ledger.hpp"
-#include "service/json_writer.hpp"
 
 namespace glitchmask::service {
 
 namespace {
 
-[[noreturn]] void bad_member(const std::string& name, const char* why) {
-    throw std::runtime_error("campaign request: member '" + name + "' " + why);
-}
-
-std::uint64_t require_u64(const eval::JsonValue& v, const std::string& name) {
-    if (v.kind != eval::JsonValue::Kind::kUnsigned)
-        bad_member(name, "must be a non-negative integer");
-    return v.unsigned_value;
-}
-
-double require_number(const eval::JsonValue& v, const std::string& name) {
-    if (v.kind != eval::JsonValue::Kind::kUnsigned &&
-        v.kind != eval::JsonValue::Kind::kNumber)
-        bad_member(name, "must be a number");
-    return v.as_number();
-}
-
-bool require_bool(const eval::JsonValue& v, const std::string& name) {
-    if (v.kind != eval::JsonValue::Kind::kBool)
-        bad_member(name, "must be true or false");
-    return v.boolean;
-}
-
-const std::string& require_string(const eval::JsonValue& v,
-                                  const std::string& name) {
-    if (v.kind != eval::JsonValue::Kind::kString)
-        bad_member(name, "must be a string");
-    return v.string;
-}
+constexpr std::string_view kContext = "campaign request";
 
 core::InputSequence parse_sequence(const std::string& text) {
     if (text.size() != 4)
@@ -208,8 +179,7 @@ std::string fingerprint_hex(const eval::CampaignFingerprint& fingerprint) {
     return obs::fingerprint_key(fingerprint);
 }
 
-std::string encode_request(const CampaignRequest& request) {
-    JsonWriter w;
+void write_request(json::JsonWriter& w, const CampaignRequest& request) {
     w.begin_object();
     w.member("kind", campaign_kind_name(request.kind));
     w.member("priority", request.priority);
@@ -241,65 +211,68 @@ std::string encode_request(const CampaignRequest& request) {
             break;
     }
     w.end_object();
+}
+
+std::string encode_request(const CampaignRequest& request) {
+    json::JsonWriter w;
+    write_request(w, request);
     return w.take();
 }
 
-CampaignRequest decode_request(const eval::JsonValue& json) {
-    if (json.kind != eval::JsonValue::Kind::kObject)
+CampaignRequest decode_request(const json::JsonValue& document) {
+    if (document.kind != json::JsonValue::Kind::kObject)
         throw std::runtime_error("campaign request: expected a JSON object");
-    const eval::JsonValue* kind_member = json.find("kind");
-    if (kind_member == nullptr)
-        throw std::runtime_error("campaign request: missing 'kind'");
-    const std::optional<CampaignKind> kind =
-        parse_campaign_kind(require_string(*kind_member, "kind"));
+    const std::string& kind_name =
+        json::require(document, "kind", kContext).string();
+    const std::optional<CampaignKind> kind = parse_campaign_kind(kind_name);
     if (!kind)
         throw std::runtime_error("campaign request: unknown kind '" +
-                                 kind_member->string + "'");
+                                 kind_name + "'");
 
     CampaignRequest request = default_request(*kind);
-    for (const auto& [name, value] : json.object) {
+    for (const auto& [name, value] : document.object) {
         if (name == "kind" || name == "op" || name == "id") continue;
+        const json::Member member{value, name, kContext};
         if (name == "priority") {
-            request.priority = static_cast<int>(require_number(value, name));
+            request.priority = static_cast<int>(member.number());
         } else if (name == "traces") {
-            request.traces = require_u64(value, name);
+            request.traces = member.u64();
         } else if (name == "noise_sigma") {
-            request.noise_sigma = require_number(value, name);
+            request.noise_sigma = member.number();
         } else if (name == "seed") {
-            request.seed = require_u64(value, name);
+            request.seed = member.u64();
         } else if (name == "placement_seed") {
-            request.placement_seed = require_u64(value, name);
+            request.placement_seed = member.u64();
         } else if (name == "max_test_order") {
-            request.max_test_order =
-                static_cast<int>(require_u64(value, name));
+            request.max_test_order = static_cast<int>(member.u64());
         } else if (name == "block_size") {
-            request.block_size = require_u64(value, name);
+            request.block_size = member.u64();
         } else if (name == "lanes") {
-            request.lanes = static_cast<unsigned>(require_u64(value, name));
+            request.lanes = static_cast<unsigned>(member.u64());
         } else if (name == "workers") {
-            request.workers = static_cast<unsigned>(require_u64(value, name));
+            request.workers = static_cast<unsigned>(member.u64());
         } else if (name == "sequence") {
-            request.sequence = parse_sequence(require_string(value, name));
+            request.sequence = parse_sequence(member.string());
         } else if (name == "replicas") {
-            request.replicas = static_cast<unsigned>(require_u64(value, name));
+            request.replicas = static_cast<unsigned>(member.u64());
         } else if (name == "gadget") {
             const std::optional<eval::GadgetKind> gadget =
-                eval::parse_gadget(require_string(value, name));
-            if (!gadget) bad_member(name, "names no known gadget");
+                eval::parse_gadget(member.string());
+            if (!gadget) member.fail("names no known gadget");
             request.gadget = *gadget;
         } else if (name == "flavor") {
             const std::optional<des::CoreFlavor> flavor =
-                parse_flavor(require_string(value, name));
-            if (!flavor) bad_member(name, "must be ff, pd or dom");
+                parse_flavor(member.string());
+            if (!flavor) member.fail("must be ff, pd or dom");
             request.flavor = *flavor;
         } else if (name == "prng_on") {
-            request.prng_on = require_bool(value, name);
+            request.prng_on = member.boolean();
         } else if (name == "fixed_plaintext") {
-            request.fixed_plaintext = require_u64(value, name);
+            request.fixed_plaintext = member.u64();
         } else if (name == "key") {
-            request.key = require_u64(value, name);
+            request.key = member.u64();
         } else {
-            bad_member(name, "is not a known request field");
+            member.fail("is not a known request field");
         }
     }
     return request;

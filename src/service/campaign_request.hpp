@@ -29,7 +29,7 @@
 #include "eval/checkpoint.hpp"
 #include "eval/des_experiments.hpp"
 #include "eval/gadget_tvla.hpp"
-#include "eval/run_report.hpp"
+#include "support/json.hpp"
 
 namespace glitchmask::service {
 
@@ -86,14 +86,15 @@ struct CampaignRequest {
 [[nodiscard]] std::string fingerprint_hex(
     const eval::CampaignFingerprint& fingerprint);
 
-/// Serializes the request as one JSON object (the state file's and the
-/// submit op's schema).
+/// Writes the request as one JSON object (the state file's and the
+/// submit op's schema); encode_request returns it as a string.
+void write_request(json::JsonWriter& w, const CampaignRequest& request);
 [[nodiscard]] std::string encode_request(const CampaignRequest& request);
 
 /// Builds a request from a parsed JSON object: "kind" selects the driver
 /// defaults, every other present member overrides one field.  Throws
 /// std::runtime_error naming the offending member.
-[[nodiscard]] CampaignRequest decode_request(const eval::JsonValue& json);
+[[nodiscard]] CampaignRequest decode_request(const json::JsonValue& document);
 
 /// What a finished campaign hands back to the service: identity, progress
 /// flags, and the driver's headline numbers as named metrics.  Small and

@@ -21,7 +21,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -72,14 +71,9 @@ void usage(const char* argv0) {
 void refresh_metrics_file(const std::string& path,
                           CampaignService& campaign_service) {
     (void)campaign_service.metrics_info();  // refreshes the service gauges
-    const std::string text =
-        telemetry::render_prometheus_text(telemetry::snapshot());
     try {
-        atomic_write_file(path,
-                          std::span<const std::uint8_t>(
-                              reinterpret_cast<const std::uint8_t*>(
-                                  text.data()),
-                              text.size()));
+        atomic_write_file(path, telemetry::render_prometheus_text(
+                                    telemetry::snapshot()));
     } catch (const std::exception& error) {
         log::warn(std::string("glitchmaskd: cannot write metrics file: ") +
                   error.what());

@@ -11,6 +11,7 @@
 #include "support/atomic_file.hpp"
 #include "support/campaign_error.hpp"
 #include "support/fault.hpp"
+#include "support/json.hpp"
 #include "support/log.hpp"
 #include "support/runenv.hpp"
 #include "support/telemetry.hpp"
@@ -293,13 +294,13 @@ std::size_t CampaignService::load_state() {
     if (!bytes) return 0;
     std::size_t accepted = 0;
     try {
-        const eval::JsonValue state = eval::parse_json(std::string_view(
+        const json::JsonValue state = json::parse_json(std::string_view(
             reinterpret_cast<const char*>(bytes->data()), bytes->size()));
-        const eval::JsonValue* requests = state.find("requests");
+        const json::JsonValue* requests = state.find("requests");
         if (requests == nullptr ||
-            requests->kind != eval::JsonValue::Kind::kArray)
+            requests->kind != json::JsonValue::Kind::kArray)
             throw std::runtime_error("state file: missing 'requests' array");
-        for (const eval::JsonValue& entry : requests->array) {
+        for (const json::JsonValue& entry : requests->array) {
             const CampaignRequest request = decode_request(entry);
             if (submit(request).kind == SubmitResult::Kind::Accepted)
                 ++accepted;
@@ -752,18 +753,17 @@ void CampaignService::write_state_locked() {
         std::remove(config_.state_path.c_str());
         return;
     }
-    std::string text = "{\"version\":1,\"requests\":[";
-    for (std::size_t i = 0; i < unfinished.size(); ++i) {
-        if (i != 0) text += ',';
-        text += encode_request(*unfinished[i]);
-    }
-    text += "]}\n";
+    json::JsonWriter w;
+    w.begin_object();
+    w.member("version", std::uint64_t{1});
+    w.key("requests");
+    w.begin_array();
+    for (const CampaignRequest* request : unfinished)
+        write_request(w, *request);
+    w.end_array();
+    w.end_object();
     try {
-        atomic_write_file(config_.state_path,
-                          std::span<const std::uint8_t>(
-                              reinterpret_cast<const std::uint8_t*>(
-                                  text.data()),
-                              text.size()));
+        atomic_write_file(config_.state_path, w.take() + '\n');
     } catch (const CampaignError& error) {
         log::error(std::string("service: cannot write state file: ") +
                    error.what());

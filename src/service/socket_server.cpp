@@ -11,6 +11,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "service/protocol.hpp"
 #include "support/log.hpp"
 
 namespace glitchmask::service {
@@ -121,7 +122,7 @@ void SocketServer::run() {
         {
             std::lock_guard<std::mutex> lock(mutex_);
             for (const auto& [id, client] : clients_) {
-                short events = POLLIN;
+                short events = client.closing ? 0 : POLLIN;
                 if (!client.out.empty()) events |= POLLOUT;
                 fds.push_back(pollfd{client.fd, events, 0});
                 ids.push_back(id);
@@ -205,7 +206,7 @@ void SocketServer::service_client(ClientId id, short revents) {
             {
                 std::lock_guard<std::mutex> lock(mutex_);
                 const auto it = clients_.find(id);
-                if (it == clients_.end()) return;
+                if (it == clients_.end() || it->second.closing) return;
                 fd = it->second.fd;
             }
             const ssize_t n = ::read(fd, buffer, sizeof buffer);
@@ -219,31 +220,40 @@ void SocketServer::service_client(ClientId id, short revents) {
                 close_client(id);
                 return;
             }
-            std::string pending;
+            // Split off complete lines under the lock, scanning only the
+            // new bytes; hand them to the owner outside it (the handler
+            // may call send()).
+            std::vector<std::string> lines;
             {
                 std::lock_guard<std::mutex> lock(mutex_);
                 const auto it = clients_.find(id);
                 if (it == clients_.end()) return;
-                it->second.in.append(buffer, static_cast<std::size_t>(n));
-                pending = std::move(it->second.in);
-                it->second.in.clear();
+                std::string& in = it->second.in;
+                const std::size_t scan = in.size();
+                in.append(buffer, static_cast<std::size_t>(n));
+                std::size_t start = 0;
+                bool oversized = false;
+                for (std::size_t end = in.find('\n', scan);
+                     end != std::string::npos; end = in.find('\n', start)) {
+                    oversized |= end - start > kMaxLineBytes;
+                    if (end > start && !oversized)
+                        lines.emplace_back(in, start, end - start);
+                    start = end + 1;
+                }
+                in.erase(0, start);
+                if (oversized || in.size() > kMaxLineBytes) {
+                    // One typed rejection, flushed before the disconnect;
+                    // nothing else this client sent is served.
+                    lines.clear();
+                    in.clear();
+                    it->second.out += encode_rejected(
+                        "input line exceeds " + std::to_string(kMaxLineBytes) +
+                        " bytes");
+                    it->second.closing = true;
+                }
             }
-            // Hand complete lines to the owner outside the lock (the
-            // handler may call send()).
-            std::size_t start = 0;
-            for (;;) {
-                const std::size_t newline = pending.find('\n', start);
-                if (newline == std::string::npos) break;
-                if (newline > start && on_line_)
-                    on_line_(id, pending.substr(start, newline - start));
-                start = newline + 1;
-            }
-            if (start < pending.size()) {
-                std::lock_guard<std::mutex> lock(mutex_);
-                const auto it = clients_.find(id);
-                if (it != clients_.end())
-                    it->second.in = pending.substr(start) + it->second.in;
-            }
+            for (const std::string& line : lines)
+                if (on_line_) on_line_(id, line);
         }
     }
     if (revents & POLLOUT) {

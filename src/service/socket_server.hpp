@@ -12,6 +12,9 @@
 //     first loses *droppable* lines (progress events) past the soft cap,
 //     then is disconnected at the hard cap -- the daemon's memory is
 //     bounded by slow clients, never its correctness.
+//   * Input is bounded too: a line (or newline-less partial line) longer
+//     than kMaxLineBytes gets one typed "rejected" event and a
+//     disconnect, while every other client keeps being served.
 //   * A disconnect is not a cancellation: the server only reports it
 //     (on_disconnect); whether the job keeps running is the daemon's
 //     decision (it does -- results land in the cache for re-query).
@@ -30,6 +33,10 @@
 #include <vector>
 
 namespace glitchmask::service {
+
+/// Longest accepted input line: about 200x the widest request
+/// encode_request produces (322 bytes).
+inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
 
 struct SocketServerConfig {
     std::string socket_path;

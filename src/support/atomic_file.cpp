@@ -120,6 +120,13 @@ void atomic_write_file(const std::string& path,
     fsync_parent_dir(path);
 }
 
+void atomic_write_file(const std::string& path, std::string_view text) {
+    atomic_write_file(path, std::span<const std::uint8_t>(
+                                reinterpret_cast<const std::uint8_t*>(
+                                    text.data()),
+                                text.size()));
+}
+
 std::optional<std::vector<std::uint8_t>> read_file_if_exists(
     const std::string& path) {
     int fd = -1;

@@ -12,6 +12,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace glitchmask {
@@ -21,6 +22,8 @@ namespace glitchmask {
 /// previous file, if any, is left intact in that case.
 void atomic_write_file(const std::string& path,
                        std::span<const std::uint8_t> bytes);
+/// The same for a text document (report, trace, state file).
+void atomic_write_file(const std::string& path, std::string_view text);
 
 /// Reads the whole file, or nullopt when it does not exist.  Any other
 /// failure (permissions, I/O error) throws CampaignError{IoFailure}.

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <memory>
 #include <mutex>
-#include <span>
 
 #include "support/atomic_file.hpp"
 #include "support/env.hpp"
+#include "support/json.hpp"
 #include "support/telemetry.hpp"
 
 namespace glitchmask::trace {
@@ -63,39 +62,6 @@ Buffer& local_buffer() {
 }
 
 thread_local std::vector<SpanId> g_ambient;
-
-void append_escaped(std::string& out, std::string_view text) {
-    out += '"';
-    for (const char c : text) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buffer[8];
-                    std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                                  static_cast<unsigned>(c));
-                    out += buffer;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    out += '"';
-}
-
-/// Microseconds with nanosecond residue -- Chrome-trace timestamps are
-/// conventionally doubles in us; %.3f keeps the ns exact.
-void append_us(std::string& out, std::uint64_t nanos) {
-    char buffer[40];
-    std::snprintf(buffer, sizeof buffer, "%llu.%03u",
-                  static_cast<unsigned long long>(nanos / 1000),
-                  static_cast<unsigned>(nanos % 1000));
-    out += buffer;
-}
 
 }  // namespace
 
@@ -203,48 +169,41 @@ std::uint64_t dropped_spans() noexcept {
 }
 
 std::string render_chrome_trace(const std::vector<Span>& spans) {
-    std::string out;
-    out.reserve(256 + spans.size() * 160);
-    out += "{\"traceEvents\":[";
-    bool first = true;
+    // Chrome-trace timestamps are conventionally microseconds.
+    const auto micros = [](std::uint64_t nanos) { return nanos / 1000.0; };
+    json::JsonWriter w;
+    w.begin_object();
+    w.key("traceEvents");
+    w.begin_array();
     for (const Span& span : spans) {
-        if (!first) out += ",";
-        first = false;
-        out += "\n{\"name\":";
-        append_escaped(out, span.name);
-        out += ",\"cat\":\"glitchmask\",\"ph\":\"X\",\"ts\":";
-        append_us(out, span.begin_ns);
-        out += ",\"dur\":";
-        append_us(out, span.end_ns >= span.begin_ns
-                           ? span.end_ns - span.begin_ns
-                           : 0);
-        out += ",\"pid\":1,\"tid\":";
-        out += std::to_string(span.thread);
+        w.begin_object();
+        w.member("name", span.name);
+        w.member("cat", "glitchmask");
+        w.member("ph", "X");
+        w.member("ts", micros(span.begin_ns));
+        w.member("dur", micros(span.end_ns >= span.begin_ns
+                                   ? span.end_ns - span.begin_ns
+                                   : 0));
+        w.member("pid", 1);
+        w.member("tid", static_cast<std::uint64_t>(span.thread));
         // Ids as strings: u64 span ids would lose bits in a JS double.
-        out += ",\"args\":{\"id\":\"";
-        out += std::to_string(span.id);
-        out += "\",\"parent\":\"";
-        out += std::to_string(span.parent);
-        out += '"';
-        for (const auto& [key, value] : span.attrs) {
-            out += ',';
-            append_escaped(out, key);
-            out += ':';
-            append_escaped(out, value);
-        }
-        out += "}}";
+        w.key("args");
+        w.begin_object();
+        w.member("id", std::to_string(span.id));
+        w.member("parent", std::to_string(span.parent));
+        for (const auto& [key, value] : span.attrs) w.member(key, value);
+        w.end_object();
+        w.end_object();
     }
-    out += "\n],\"displayTimeUnit\":\"ms\"}\n";
-    return out;
+    w.end_array();
+    w.member("displayTimeUnit", "ms");
+    w.end_object();
+    return w.take() + '\n';
 }
 
 void write_chrome_trace(const std::string& path,
                         const std::vector<Span>& spans) {
-    const std::string text = render_chrome_trace(spans);
-    atomic_write_file(path,
-                      std::span<const std::uint8_t>(
-                          reinterpret_cast<const std::uint8_t*>(text.data()),
-                          text.size()));
+    atomic_write_file(path, render_chrome_trace(spans));
 }
 
 std::vector<SpanSummary> summarize_spans(const std::vector<Span>& spans) {

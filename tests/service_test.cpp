@@ -11,20 +11,30 @@
 
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include <spawn.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "eval/run_report.hpp"
 #include "obs/ledger.hpp"
 #include "service/protocol.hpp"
 #include "service/service.hpp"
+#include "service/socket_server.hpp"
 #include "support/atomic_file.hpp"
 #include "support/campaign_error.hpp"
 #include "support/fault.hpp"
@@ -257,6 +267,16 @@ TEST(Protocol, RejectsMalformedLines) {
     EXPECT_THROW((void)parse_client_command(
                      "{\"op\":\"history\",\"fingerprint\":\"\"}"),
                  std::runtime_error);
+}
+
+TEST(Protocol, DeeplyNestedLineIsRejectedNotACrash) {
+    try {
+        (void)parse_client_command(std::string(1'000'000, '['));
+        FAIL() << "a million open brackets parsed";
+    } catch (const std::runtime_error& error) {
+        EXPECT_NE(std::string(error.what()).find("nesting"), std::string::npos)
+            << error.what();
+    }
 }
 
 TEST(Protocol, HistoryEncoderRoundTripsThroughTheJsonReader) {
@@ -1212,6 +1232,124 @@ TEST_F(ServiceTest, TracedJobExportsAChromeTraceTree) {
     }
     std::remove(path.c_str());
     trace::reset();
+}
+
+// ----- live daemon ---------------------------------------------------------
+
+/// glitchmaskd on a temporary socket, killed on scope exit if a failed
+/// assertion left it running.
+class Daemon {
+public:
+    explicit Daemon(const std::string& socket_path) {
+        const char* argv[] = {GLITCHMASKD_PATH, "--socket", socket_path.c_str(),
+                              nullptr};
+        if (::posix_spawn(&pid_, GLITCHMASKD_PATH, nullptr, nullptr,
+                          const_cast<char* const*>(argv), environ) != 0)
+            pid_ = -1;
+    }
+    ~Daemon() {
+        if (pid_ <= 0) return;
+        ::kill(pid_, SIGKILL);
+        (void)wait_exit();
+    }
+    Daemon(const Daemon&) = delete;
+    Daemon& operator=(const Daemon&) = delete;
+    [[nodiscard]] bool started() const noexcept { return pid_ > 0; }
+    /// Waits for the process; its exit status (-1 when it did not exit).
+    int wait_exit() {
+        int status = 0;
+        const pid_t waited = ::waitpid(pid_, &status, 0);
+        pid_ = -1;
+        return waited > 0 && WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    }
+
+private:
+    pid_t pid_ = -1;
+};
+
+/// A connected client socket with a receive timeout (a hung daemon fails
+/// the test instead of wedging it); -1 when nothing listens yet.
+int connect_client(const std::string& socket_path) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, socket_path.c_str(), sizeof addr.sun_path - 1);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+        0) {
+        ::close(fd);
+        return -1;
+    }
+    const timeval timeout{20, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    return fd;
+}
+
+/// Sends every byte; false once the peer has hung up.
+bool send_all(int fd, std::string_view bytes) {
+    while (!bytes.empty()) {
+        const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) return false;
+        bytes.remove_prefix(static_cast<std::size_t>(n));
+    }
+    return true;
+}
+
+/// The next line without its newline; nullopt on EOF, error or timeout.
+std::optional<std::string> read_line(int fd) {
+    std::string line;
+    char c = 0;
+    while (::read(fd, &c, 1) == 1) {
+        if (c == '\n') return line;
+        line += c;
+    }
+    return std::nullopt;
+}
+
+TEST(Daemon, OversizedLineIsRejectedWhileOtherClientsAreServed) {
+    const std::string socket_path = make_temp_dir("line_cap") + "/gm.sock";
+    Daemon daemon(socket_path);
+    ASSERT_TRUE(daemon.started());
+    int honest = -1;
+    ASSERT_TRUE(wait_until([&] {
+        honest = connect_client(socket_path);
+        return honest >= 0;
+    }));
+    const int hostile = connect_client(socket_path);
+    ASSERT_GE(hostile, 0);
+
+    // 1 MiB without a newline: the daemon stops reading past the cap,
+    // answers with one typed rejection and hangs up (the send fails once
+    // it has).
+    (void)send_all(hostile, std::string(std::size_t{1} << 20, 'x'));
+    const std::optional<std::string> rejection = read_line(hostile);
+    ASSERT_TRUE(rejection.has_value());
+    const json::JsonValue event = json::parse_json(*rejection);
+    EXPECT_EQ(event.find("event")->string, "rejected");
+    EXPECT_NE(event.find("reason")->string.find(
+                  std::to_string(kMaxLineBytes)),
+              std::string::npos)
+        << *rejection;
+    EXPECT_FALSE(read_line(hostile).has_value());  // disconnected
+    ::close(hostile);
+
+    // The other client's submit still runs to completion.
+    std::string submit = encode_request(small_gadget_request(4242));
+    submit.insert(1, "\"op\":\"submit\",");
+    ASSERT_TRUE(send_all(honest, submit + "\n"));
+    std::optional<std::string> line;
+    std::string state;
+    while ((line = read_line(honest)).has_value()) {
+        const json::JsonValue reply = json::parse_json(*line);
+        if (reply.find("event")->string != "result") continue;
+        state = reply.find("state")->string;
+        break;
+    }
+    EXPECT_EQ(state, "completed");
+
+    ASSERT_TRUE(send_all(honest, "{\"op\":\"shutdown\",\"drain\":false}\n"));
+    EXPECT_EQ(daemon.wait_exit(), 0);
+    ::close(honest);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "support/bits.hpp"
 #include "support/csv.hpp"
 #include "support/env.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
@@ -260,6 +261,111 @@ TEST(ThreadPool, DefaultWorkerCountHonoursEnv) {
     EXPECT_EQ(ThreadPool::default_worker_count(), 3u);
     ::unsetenv("GLITCHMASK_WORKERS");
     EXPECT_GE(ThreadPool::default_worker_count(), 1u);
+}
+
+// ----- JSON codec ----------------------------------------------------------
+
+TEST(Json, NestingBeyondTheLimitIsAParseErrorNotACrash) {
+    const std::string deep(1'000'000, '[');
+    try {
+        (void)json::parse_json(deep);
+        FAIL() << "a million open brackets parsed";
+    } catch (const json::ParseError& error) {
+        EXPECT_EQ(error.offset(), json::kMaxDepth);
+    }
+    const std::string at_limit = std::string(json::kMaxDepth, '[') +
+                                 std::string(json::kMaxDepth, ']');
+    EXPECT_EQ(json::parse_json(at_limit).kind, json::JsonValue::Kind::kArray);
+    const std::string objects =
+        std::string(json::kMaxDepth + 1, '{');  // fails before any key
+    EXPECT_THROW((void)json::parse_json(objects), json::ParseError);
+}
+
+TEST(Json, NumbersFollowTheJsonGrammarExactly) {
+    for (const char* bad : {"1.2.3", "0-0", "1e5e5", "1+2", "12-", "01", "-",
+                            "18446744073709551616", "1e999", "+1", ".5",
+                            "1.", "1e", "-01", "99999999999999999999"}) {
+        EXPECT_THROW((void)json::parse_json(bad), json::ParseError) << bad;
+        EXPECT_THROW((void)json::parse_json(std::string("[") + bad + "]"),
+                     json::ParseError)
+            << bad;
+    }
+
+    const json::JsonValue zero = json::parse_json("0");
+    EXPECT_EQ(zero.kind, json::JsonValue::Kind::kUnsigned);
+    EXPECT_EQ(zero.unsigned_value, 0u);
+    const json::JsonValue max = json::parse_json("18446744073709551615");
+    EXPECT_EQ(max.kind, json::JsonValue::Kind::kUnsigned);
+    EXPECT_EQ(max.unsigned_value, 18446744073709551615ull);
+    const json::JsonValue half = json::parse_json("-0.5");
+    EXPECT_EQ(half.kind, json::JsonValue::Kind::kNumber);
+    EXPECT_EQ(half.number, -0.5);
+    const json::JsonValue milli = json::parse_json("1e-3");
+    EXPECT_EQ(milli.kind, json::JsonValue::Kind::kNumber);
+    EXPECT_EQ(milli.number, 1e-3);
+    EXPECT_EQ(json::parse_json("[2.5E+2]").array.at(0).number, 250.0);
+}
+
+TEST(Json, StringEscapesDecodeAndBadOnesFail) {
+    EXPECT_EQ(json::parse_json(R"("a\"b\\c\/d\n\t\u0041")").string,
+              "a\"b\\c/d\n\tA");
+    EXPECT_EQ(json::parse_json(R"("\u00e9\u20ac")").string,
+              "\xc3\xa9\xe2\x82\xac");
+    for (const char* bad : {R"("\u12")", R"("\u12g4")", R"("\u+041")",
+                            R"("\x41")", R"("open)", R"("\)"}) {
+        EXPECT_THROW((void)json::parse_json(bad), json::ParseError) << bad;
+    }
+}
+
+TEST(Json, WriterRoundTripsEveryDoubleAndFlattensNonFinite) {
+    const double values[] = {0.1, -3.5, 1e-300, 4.9406564584124654e-324,
+                             1.7976931348623157e308, -0.0, 12.000000000000002};
+    for (const double x : values) {
+        json::JsonWriter w;
+        w.value(x);
+        const std::string text = w.take();
+        const json::JsonValue back = json::parse_json(text);
+        EXPECT_EQ(std::signbit(back.as_number()), std::signbit(x)) << text;
+        EXPECT_EQ(back.as_number(), x) << text;
+    }
+    json::JsonWriter w;
+    w.begin_array();
+    w.value(std::nan(""));
+    w.value(HUGE_VAL);
+    w.value(-HUGE_VAL);
+    w.end_array();
+    EXPECT_EQ(w.take(), "[0,0,0]");
+}
+
+TEST(Json, TypedMembersNameTheDocumentAndTheMember) {
+    const json::JsonValue doc =
+        json::parse_json(R"({"n": 7, "x": -1.5, "b": true, "s": "v"})");
+    EXPECT_EQ(json::require(doc, "n", "test doc").u64(), 7u);
+    EXPECT_EQ(json::require(doc, "n", "test doc").number(), 7.0);
+    EXPECT_EQ(json::require(doc, "x", "test doc").number(), -1.5);
+    EXPECT_TRUE(json::require(doc, "b", "test doc").boolean());
+    EXPECT_EQ(json::require(doc, "s", "test doc").string(), "v");
+    const auto message = [&](auto read) {
+        try {
+            read();
+        } catch (const std::runtime_error& error) {
+            return std::string(error.what());
+        }
+        return std::string("no error");
+    };
+    const auto field = [&](const char* key) {
+        return json::require(doc, key, "test doc");
+    };
+    EXPECT_EQ(message([&] { (void)field("q"); }),
+              "test doc: missing member 'q'");
+    EXPECT_EQ(message([&] { (void)field("x").u64(); }),
+              "test doc: member 'x' must be a non-negative integer");
+    EXPECT_EQ(message([&] { (void)field("n").string(); }),
+              "test doc: member 'n' must be a string");
+    EXPECT_EQ(message([&] { (void)field("s").boolean(); }),
+              "test doc: member 's' must be true or false");
+    EXPECT_EQ(message([&] { (void)field("b").number(); }),
+              "test doc: member 'b' must be a number");
 }
 
 }  // namespace
