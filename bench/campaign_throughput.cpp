@@ -43,6 +43,7 @@
 // (src/obs/) can attribute entries without trusting file mtimes.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -57,7 +58,6 @@
 #include "des/masked_des.hpp"
 #include "eval/des_experiments.hpp"
 #include "leakage/moment_bank.hpp"
-#include "leakage/tvla.hpp"
 #include "support/env.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
@@ -250,14 +250,14 @@ int main(int argc, char** argv) {
     const double attribution_overhead = best_attr_on / best_plain - 1.0;
 
     // Statistics-fold microbench: the pre-fusion gather path (a bin-major
-    // noisy batch swept point-by-point into per-point scalar accumulators
-    // via TvlaCampaign::add_lane_traces) against the fused fold (each lane
-    // row streamed straight into the bin-vectorized MomentBank).  Both
-    // layouts hold the same values and are built outside the timed
-    // region, so the ratio isolates the moment update itself.  Both sides
-    // must land on the same t statistic to the bit (the bank feeds every
-    // per-point accumulator the same addend sequence); CI gates the
-    // speedup at >= 1.5x.
+    // noisy batch swept point-by-point into per-point scalar
+    // UnivariateTTest accumulators, lanes in order per class) against the
+    // fused fold (each lane row streamed straight into the bin-vectorized
+    // MomentBank).  Both layouts hold the same values and are built
+    // outside the timed region, so the ratio isolates the moment update
+    // itself.  Both sides must land on the same t statistic to the bit
+    // (the bank feeds every per-point accumulator the same addend
+    // sequence); CI gates the speedup at >= 1.5x.
     const std::size_t stat_points = core.total_cycles();
     constexpr unsigned kStatLanes = 64;
     constexpr std::size_t kStatBlocks = 8;
@@ -285,16 +285,23 @@ int main(int argc, char** argv) {
     double fused_t1 = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
         {
-            leakage::TvlaCampaign campaign(stat_points, 2);
+            std::vector<leakage::UnivariateTTest> points(
+                stat_points, leakage::UnivariateTTest(2));
             const auto start = std::chrono::steady_clock::now();
             for (std::size_t b = 0; b < kStatBlocks; ++b)
-                campaign.add_lane_traces(stat_bins[b], kStatLanes,
-                                         stat_masks[b], kStatLanes);
+                for (std::size_t i = 0; i < stat_points; ++i) {
+                    const double* bin = stat_bins[b].data() + i * kStatLanes;
+                    for (unsigned lane = 0; lane < kStatLanes; ++lane)
+                        points[i].add(((stat_masks[b] >> lane) & 1u) != 0,
+                                      bin[lane]);
+                }
             const auto stop = std::chrono::steady_clock::now();
             best_gather = std::min(
                 best_gather,
                 std::chrono::duration<double>(stop - start).count());
-            gather_t1 = campaign.max_abs_t(1);
+            gather_t1 = 0.0;
+            for (const leakage::UnivariateTTest& point : points)
+                gather_t1 = std::max(gather_t1, std::fabs(point.t(1)));
         }
         {
             leakage::MomentBank bank(stat_points, 2);

@@ -11,6 +11,7 @@
 // small synthetic noise; the default 3000 traces per test give the same
 // verdicts (see EXPERIMENTS.md for the trace-count mapping).
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -57,14 +58,14 @@ int main() {
     const std::uint64_t plaintexts[3] = {0xDA39A3EE5E6B4B0Dull,
                                          0x0123456789ABCDEFull,
                                          0xA5A5A5A55A5A5A5Aull};
-    std::vector<leakage::TvlaCampaign> campaigns;
+    std::vector<leakage::MomentBank> campaigns;
     bool any_first_order = false;
     for (int p = 0; p < 3; ++p) {
         eval::DesTvlaConfig config;
         config.traces = prng_on_traces;
         config.fixed_plaintext = plaintexts[p];
         config.seed = 202 + static_cast<std::uint64_t>(p);
-        const eval::DesTvlaResult r = eval::run_des_tvla(core, config);
+        eval::DesTvlaResult r = eval::run_des_tvla(core, config);
         const std::string name = std::string("Fig14") +
                                  static_cast<char>('b' + p) + " plaintext " +
                                  std::to_string(p + 1);
@@ -81,7 +82,7 @@ int main() {
                              std::to_string(order), std::to_string(c),
                              TablePrinter::num(curve[c], 4)});
         }
-        campaigns.push_back(r.campaign.to_campaign());
+        campaigns.push_back(std::move(r.campaign));
     }
     table.print();
 

@@ -11,6 +11,7 @@
 //       the Miller energy + timing coupling enabled (the excursions
 //       appear) -- directly exercising the paper's explanation.
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -68,7 +69,7 @@ int main() {
     const std::uint64_t plaintexts[3] = {0xDA39A3EE5E6B4B0Dull,
                                          0x0123456789ABCDEFull,
                                          0xA5A5A5A55A5A5A5Aull};
-    std::vector<leakage::TvlaCampaign> coupled_campaigns;
+    std::vector<leakage::MomentBank> coupled_campaigns;
     double max_t1_ideal = 0.0;
     double max_t1_coupled = 0.0;
     for (int p = 0; p < 3; ++p) {
@@ -84,7 +85,7 @@ int main() {
                 config.coupling.timing_enabled = true;
                 config.coupling_epsilon = epsilon;
             }
-            const eval::DesTvlaResult r = eval::run_des_tvla(core, config);
+            eval::DesTvlaResult r = eval::run_des_tvla(core, config);
             table.add_row({base_name, coupled ? "on" : "off",
                            std::to_string(r.traces),
                            TablePrinter::num(r.max_abs_t[1]),
@@ -94,7 +95,7 @@ int main() {
                         coupled ? "on" : "off");
             if (coupled) {
                 max_t1_coupled = std::max(max_t1_coupled, r.max_abs_t[1]);
-                coupled_campaigns.push_back(r.campaign.to_campaign());
+                coupled_campaigns.push_back(std::move(r.campaign));
             } else {
                 max_t1_ideal = std::max(max_t1_ideal, r.max_abs_t[1]);
             }

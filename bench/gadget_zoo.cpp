@@ -14,7 +14,7 @@
 #include "bench_util.hpp"
 #include "core/gadgets.hpp"
 #include "core/sharing.hpp"
-#include "leakage/tvla.hpp"
+#include "leakage/moment_bank.hpp"
 #include "netlist/area.hpp"
 #include "power/power_model.hpp"
 #include "sim/clocked.hpp"
@@ -114,7 +114,7 @@ ZooResult run(const Spec& spec, std::size_t traces) {
     sim.engine().set_sink(&recorder);
 
     constexpr std::size_t kCycles = 5;
-    leakage::TvlaCampaign campaign(kCycles, 2);
+    leakage::MomentBank campaign(kCycles, 2);
     Xoshiro256 rng(55);
     Xoshiro256 noise(56);
     for (std::size_t t = 0; t < traces; ++t) {

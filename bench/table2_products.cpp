@@ -15,7 +15,7 @@
 #include "core/composition.hpp"
 #include "core/sharing.hpp"
 #include "eval/campaign.hpp"
-#include "leakage/tvla.hpp"
+#include "leakage/moment_bank.hpp"
 #include "power/power_model.hpp"
 #include "sim/clocked.hpp"
 #include "support/csv.hpp"
@@ -88,7 +88,7 @@ ProductResult evaluate(unsigned n, bool safe_schedule, std::size_t traces) {
     simulator.engine().set_sink(&recorder);
 
     constexpr std::size_t kCycles = 5;  // two consecutive products
-    leakage::TvlaCampaign campaign(kCycles, 1);
+    leakage::MomentBank campaign(kCycles, 1);
     Xoshiro256 rng(11);
     Xoshiro256 noise(12);
     ProductResult result;

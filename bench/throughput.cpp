@@ -9,7 +9,7 @@
 #include "des/des_reference.hpp"
 #include "des/masked_des.hpp"
 #include "leakage/moments.hpp"
-#include "leakage/tvla.hpp"
+#include "leakage/moment_bank.hpp"
 #include "power/power_model.hpp"
 #include "sim/clocked.hpp"
 #include "sim/functional.hpp"
@@ -102,7 +102,7 @@ BENCHMARK(BM_MomentAccumulatorOrder6);
 
 void BM_TvlaAddTrace(benchmark::State& state) {
     constexpr std::size_t kSamples = 113;
-    leakage::TvlaCampaign campaign(kSamples, 3);
+    leakage::MomentBank campaign(kSamples, 3);
     std::vector<double> trace(kSamples);
     Xoshiro256 rng(6);
     for (double& v : trace) v = rng.gaussian();

@@ -16,7 +16,7 @@
 #include "core/gadgets.hpp"
 #include "core/sharing.hpp"
 #include "eval/run_report.hpp"
-#include "leakage/tvla.hpp"
+#include "leakage/moment_bank.hpp"
 #include "netlist/area.hpp"
 #include "netlist/lutmap.hpp"
 #include "power/power_model.hpp"
@@ -57,7 +57,7 @@ SweepPoint run_size(unsigned unit_luts, std::size_t traces,
     sim.engine().set_sink(&recorder);
 
     constexpr std::size_t kCycles = 5;
-    leakage::TvlaCampaign campaign(kCycles, 2);
+    leakage::MomentBank campaign(kCycles, 2);
     Xoshiro256 rng(31);
     Xoshiro256 noise(32);
     for (std::size_t t = 0; t < traces; ++t) {

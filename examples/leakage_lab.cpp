@@ -21,7 +21,7 @@
 #include "core/gadgets.hpp"
 #include "core/sharing.hpp"
 #include "eval/run_report.hpp"
-#include "leakage/tvla.hpp"
+#include "leakage/moment_bank.hpp"
 #include "power/power_model.hpp"
 #include "sim/clocked.hpp"
 #include "support/cli.hpp"
@@ -84,7 +84,7 @@ LabResult run(Style style, std::size_t traces,
     sim.engine().set_sink(&recorder);
 
     constexpr std::size_t kCycles = 4;
-    leakage::TvlaCampaign campaign(kCycles, 2);
+    leakage::MomentBank campaign(kCycles, 2);
     Xoshiro256 rng(77);
     Xoshiro256 noise(78);
     for (std::size_t t = 0; t < traces; ++t) {

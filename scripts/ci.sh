@@ -27,6 +27,10 @@
 #   * one extra ctest pass under GLITCHMASK_SIMD=off, pinning every
 #     runtime-dispatched kernel to its portable scalar fallback (the
 #     bit-identity tests then prove scalar == vector end to end);
+#   * a paper-verdict smoke: table2_products, gadget_zoo and
+#     fig14_tvla_ff at their default scale must reproduce their verdicts
+#     (each exits 1 otherwise), which also drives the fixed-vs-random
+#     statistics and the Sec. VII-A consistency rule end to end;
 #   * bench/campaign_throughput's overhead/speedup figures are bounds-
 #     checked through `glitchmask_ledger gate` (telemetry <= 3%,
 #     tracing-off <= 1%, tracing-on <= 5%, attribution-off <= 1%,
@@ -101,6 +105,15 @@ for preset in "${presets[@]}"; do
 
     echo "==> release extras: suite under GLITCHMASK_SIMD=off (scalar kernels)"
     GLITCHMASK_SIMD=off ctest --preset "$preset" -j "$jobs"
+
+    echo "==> release extras: paper-verdict smoke (Table II, gadget zoo, Fig. 14)"
+    # The benches write their CSVs to the current directory.
+    verdict_dir="$(mktemp -d)"
+    bench_dir="$PWD/build/bench"
+    for bench in table2_products gadget_zoo fig14_tvla_ff; do
+      (cd "$verdict_dir" && "$bench_dir/$bench" > /dev/null)
+    done
+    rm -rf "$verdict_dir"
 
     echo "==> release extras: bench overhead + speedup gates"
     # 256 traces: large enough that the per-block amortizations (spill

@@ -15,7 +15,7 @@
 #include "core/circuits.hpp"
 #include "eval/parallel_campaign.hpp"
 #include "leakage/attribution.hpp"
-#include "leakage/tvla.hpp"
+#include "leakage/moment_bank.hpp"
 #include "sim/clocked.hpp"
 #include "support/thread_pool.hpp"
 

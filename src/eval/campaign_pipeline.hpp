@@ -65,8 +65,8 @@ struct CampaignSetup {
 
 /// Fixed-vs-random TVLA statistics: the fused MomentBank, plus the
 /// committed-toggle count when `kToggles` (the DES campaign's activity
-/// metric).  Snapshot form: the bank (byte-identical to TvlaCampaign),
-/// then the u64 toggle count when kToggles.
+/// metric).  Snapshot form: the bank (MomentBank::encode), then the u64
+/// toggle count when kToggles.
 template <bool kToggles>
 struct TvlaStats {
     std::size_t bins = 0;

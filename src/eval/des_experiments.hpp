@@ -71,8 +71,7 @@ struct DesTvlaResult {
     /// "sbox") on the full core: unscoped DES attribution costs ~48 B per
     /// (net, cycle) point per in-flight block.
     leakage::AttributionResult attribution;
-    /// The merged statistics: t-curves, exceedances, class counts
-    /// (to_campaign() converts exactly when a TvlaCampaign is needed).
+    /// The merged statistics: t-curves, exceedances, class counts.
     leakage::MomentBank campaign;
 };
 

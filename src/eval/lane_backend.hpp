@@ -16,8 +16,8 @@
 // engine.  run_campaign() is the one place that picks and builds them.
 // Chunk c covers lanes [64c, 64c+64) == traces group+64c .. group+64c+63,
 // so folding chunk-by-chunk in chunk order feeds the accumulators in
-// trace order -- the same add_lane_traces / fold_group call sequence as
-// the event path, hence bit-identical campaign statistics.
+// trace order -- the same MomentBank::add_trace / fold_group call
+// sequence as the event path, hence bit-identical campaign statistics.
 //
 // resolve_backend_plan() owns the policy: CampaignRunOptions::backend
 // beats GLITCHMASK_BACKEND beats "event"; timing coupling always forces

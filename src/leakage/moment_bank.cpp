@@ -1,34 +1,17 @@
 #include "leakage/moment_bank.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 
+#include "leakage/pebay.hpp"
 #include "support/campaign_error.hpp"
 #include "support/simd.hpp"
 
 namespace glitchmask::leakage {
 
 namespace bank_kernels {
-
-namespace {
-
-// Same definitions as leakage/moments.cpp -- the kernels must reproduce
-// MomentAccumulator's coefficient values exactly, and both are pure
-// functions evaluated in the same operation order.
-[[nodiscard]] double binomial(int n, int k) {
-    double result = 1.0;
-    for (int i = 1; i <= k; ++i)
-        result = result * static_cast<double>(n - k + i) / static_cast<double>(i);
-    return result;
-}
-
-[[nodiscard]] double ipow(double base, int exponent) {
-    double result = 1.0;
-    for (int i = 0; i < exponent; ++i) result *= base;
-    return result;
-}
-
-}  // namespace
 
 void fold_row_scalar(double* mean, double* sums, std::size_t points,
                      std::size_t stride, int max_order, double n1, double n,
@@ -43,14 +26,9 @@ void fold_row_scalar(double* mean, double* sums, std::size_t points,
         }
         return;
     }
-    // The Pebay coefficients depend only on (p, k, n1, n) -- scalars the
+    // The Pebay coefficients depend only on (p, k, n1) -- scalars the
     // whole row shares -- so hoist them out of the point loop.
-    double binom[7][7];
-    double tail[7];
-    for (int p = 2; p <= max_order; ++p) {
-        for (int k = 1; k <= p - 2; ++k) binom[p][k] = binomial(p, k);
-        tail[p] = 1.0 - ipow(-1.0 / n1, p - 1);
-    }
+    const PebayCoefficients c = increment_coefficients(max_order, n1);
     for (std::size_t i = 0; i < points; ++i) {
         const double x = row[i];
         const double delta = x - mean[i];
@@ -59,11 +37,11 @@ void fold_row_scalar(double* mean, double* sums, std::size_t points,
         for (int p = max_order; p >= 2; --p) {
             double update = sums[static_cast<std::size_t>(p) * stride + i];
             for (int k = 1; k <= p - 2; ++k)
-                update += binom[p][k] *
+                update += c.binom[p][k] *
                           sums[static_cast<std::size_t>(p - k) * stride + i] *
                           ipow(-delta_n, k);
             const double term = n1 * delta / n;
-            update += ipow(term, p) * tail[p];
+            update += ipow(term, p) * c.tail[p];
             sums[static_cast<std::size_t>(p) * stride + i] = update;
         }
     }
@@ -105,10 +83,14 @@ void MomentBank::add_trace(bool fixed_class, const double* row) {
     fold(fixed_class ? fixed_ : random_, row);
 }
 
+void MomentBank::add_trace(bool fixed_class, std::span<const double> row) {
+    if (row.size() < points_)
+        throw std::invalid_argument("MomentBank::add_trace: trace too short");
+    add_trace(fixed_class, row.data());
+}
+
 void MomentBank::merge_class(ClassPlanes& into,
                              const ClassPlanes& from) const {
-    using bank_kernels::binomial;
-    using bank_kernels::ipow;
     if (from.n == 0.0) return;
     if (into.n == 0.0) {
         into = from;
@@ -117,12 +99,7 @@ void MomentBank::merge_class(ClassPlanes& into,
     const double na = into.n;
     const double nb = from.n;
     const double n = na + nb;
-    double binom[7][7];
-    double tail[7];
-    for (int p = 2; p <= max_order_; ++p) {
-        for (int k = 1; k <= p - 2; ++k) binom[p][k] = binomial(p, k);
-        tail[p] = 1.0 / ipow(nb, p - 1) - ipow(-1.0 / na, p - 1);
-    }
+    const PebayCoefficients c = merge_coefficients(max_order_, na, nb);
     // Merges are block-boundary events (points-per-block, not
     // traces-per-block, frequency), so the scalar per-point loop is fine;
     // the op sequence mirrors MomentAccumulator::merge exactly.  `merged`
@@ -136,11 +113,11 @@ void MomentBank::merge_class(ClassPlanes& into,
             for (int k = 1; k <= p - 2; ++k) {
                 const std::size_t krow =
                     static_cast<std::size_t>(p - k) * points_;
-                value += binom[p][k] *
+                value += c.binom[p][k] *
                          (into.sums[krow + i] * ipow(-nb * delta / n, k) +
                           from.sums[krow + i] * ipow(na * delta / n, k));
             }
-            value += ipow(na * nb * delta / n, p) * tail[p];
+            value += ipow(na * nb * delta / n, p) * c.tail[p];
             merged[p] = value;
         }
         for (int p = 2; p <= max_order_; ++p)
@@ -171,48 +148,11 @@ double MomentBank::central_sum(bool fixed_class, std::size_t point,
     return planes.sums.at(static_cast<std::size_t>(p) * points_ + point);
 }
 
-double MomentBank::central_moment(const ClassPlanes& planes,
-                                  std::size_t point, int p) const {
-    if (planes.n == 0.0) return 0.0;
-    return planes.sums[static_cast<std::size_t>(p) * points_ + point] /
-           planes.n;
-}
-
-// The three finalization helpers repeat the formulas of leakage/ttest.cpp
-// verbatim (same guards, same operation order) so t() == the equivalent
-// UnivariateTTest::t bit for bit.
-
-double MomentBank::preprocessed_mean(const ClassPlanes& planes,
-                                     std::size_t point, int order) const {
-    if (order == 1) return planes.mean[point];
-    if (order == 2) return central_moment(planes, point, 2);
-    const double m2 = central_moment(planes, point, 2);
-    if (!(m2 > 0.0)) return 0.0;
-    return central_moment(planes, point, order) / std::pow(m2, order / 2.0);
-}
-
-double MomentBank::preprocessed_variance(const ClassPlanes& planes,
-                                         std::size_t point, int order) const {
-    if (order == 1) return central_moment(planes, point, 2);
-    const double md = central_moment(planes, point, order);
-    const double m2d = central_moment(planes, point, 2 * order);
-    if (order == 2) return m2d - md * md;
-    const double m2 = central_moment(planes, point, 2);
-    if (!(m2 > 0.0)) return 0.0;
-    const double var =
-        (m2d - md * md) / std::pow(m2, static_cast<double>(order));
-    return std::isfinite(var) ? var : 0.0;
-}
-
 double MomentBank::t(std::size_t point, int order) const {
     if (order < 1 || order > max_test_order_)
         throw std::out_of_range("MomentBank::t: order out of range");
     if (point >= points_) throw std::out_of_range("MomentBank::t: point");
-    if (fixed_.n <= 1.0 || random_.n <= 1.0) return 0.0;
-    return welch_t(preprocessed_mean(fixed_, point, order),
-                   preprocessed_variance(fixed_, point, order), fixed_.n,
-                   preprocessed_mean(random_, point, order),
-                   preprocessed_variance(random_, point, order), random_.n);
+    return order_t(view(fixed_, point), view(random_, point), order);
 }
 
 std::vector<double> MomentBank::t_curve(int order) const {
@@ -241,36 +181,6 @@ std::vector<std::size_t> MomentBank::exceedances(int order,
     for (std::size_t i = 0; i < points_; ++i)
         if (std::fabs(t(i, order)) > threshold) indices.push_back(i);
     return indices;
-}
-
-double MomentBank::snr(std::size_t point) const {
-    if (point >= points_) throw std::out_of_range("MomentBank::snr");
-    // SnrAccumulator::snr over the two classes, with the class variance
-    // taken from the streaming central sum (sums[2] plays M2's role).
-    double total_n = 0.0;
-    double grand_mean = 0.0;
-    std::size_t populated = 0;
-    for (const ClassPlanes* planes : {&fixed_, &random_}) {
-        if (planes->n == 0.0) continue;
-        ++populated;
-        total_n += planes->n;
-        grand_mean += planes->n * planes->mean[point];
-    }
-    if (populated < 2 || total_n == 0.0) return 0.0;
-    grand_mean /= total_n;
-    double signal = 0.0;
-    double noise = 0.0;
-    for (const ClassPlanes* planes : {&fixed_, &random_}) {
-        if (planes->n == 0.0) continue;
-        const double dm = planes->mean[point] - grand_mean;
-        signal += planes->n * dm * dm;
-        noise += planes->sums[2 * points_ + point];
-    }
-    signal /= total_n;
-    noise /= total_n;
-    if (!(noise > 0.0)) return 0.0;
-    const double snr = signal / noise;
-    return std::isfinite(snr) ? snr : 0.0;
 }
 
 void MomentBank::encode(SnapshotWriter& out) const {
@@ -328,20 +238,20 @@ MomentBank MomentBank::decode(SnapshotReader& in) {
     return bank;
 }
 
-TvlaCampaign MomentBank::to_campaign() const {
-    SnapshotWriter out;
-    encode(out);
-    const std::vector<std::uint8_t> sealed = std::move(out).finish();
-    SnapshotReader in(sealed);
-    return TvlaCampaign::decode(in);
-}
-
-MomentBank MomentBank::from_campaign(const TvlaCampaign& campaign) {
-    SnapshotWriter out;
-    campaign.encode(out);
-    const std::vector<std::uint8_t> sealed = std::move(out).finish();
-    SnapshotReader in(sealed);
-    return decode(in);
+std::vector<std::size_t> consistent_exceedances(
+    std::span<const MomentBank> banks, int order, double threshold) {
+    std::vector<std::size_t> result;
+    if (banks.empty()) return result;
+    result = banks.front().exceedances(order, threshold);
+    for (std::size_t b = 1; b < banks.size() && !result.empty(); ++b) {
+        const std::vector<std::size_t> next =
+            banks[b].exceedances(order, threshold);
+        std::vector<std::size_t> intersection;
+        std::set_intersection(result.begin(), result.end(), next.begin(),
+                              next.end(), std::back_inserter(intersection));
+        result = std::move(intersection);
+    }
+    return result;
 }
 
 }  // namespace glitchmask::leakage

@@ -1,32 +1,31 @@
-// Structure-of-arrays TVLA statistics bank: the fused, bin-vectorized
-// replacement for a vector of per-point UnivariateTTest accumulators.
+// Structure-of-arrays TVLA statistics bank: the fixed-vs-random t-test
+// state of every sample point of a trace, and the one statistics type the
+// campaigns, benches and checkpoints use.
 //
-// TvlaCampaign stores its state point-major (one UnivariateTTest -- two
-// MomentAccumulators -- per sample point), so folding a trace touches
-// 2 * points scattered objects and the per-point Pebay update is a
-// scalar dependency chain.  MomentBank transposes the layout: per class
-// (fixed/random) it keeps one scalar trace count plus *planes* of means
-// and central sums (row p holds sums_[p] of every point contiguously).
-// Folding a trace then updates all points' accumulators with identical
-// scalar coefficients (n, n1, the Pebay binomial/correction terms depend
-// only on the class count, which every point of a class shares), so the
-// update vectorizes across points -- AVX2 processes four bins per
-// instruction -- without touching any single accumulator's FP operation
-// order.  Results are bit-identical to TvlaCampaign, asserted with ==
-// in tests/moment_bank_test.cpp, and the serialized form is
-// byte-identical to TvlaCampaign::encode, so campaign checkpoints are
-// interchangeable between the two representations.
+// Per class (fixed/random) the bank keeps one scalar trace count plus
+// *planes* of means and central sums (row p holds sum((x - mean)^p) of
+// every point contiguously).  Folding a trace updates all points'
+// accumulators with identical scalar coefficients (n, n1, the Pebay
+// binomial/correction terms depend only on the class count, which every
+// point of a class shares), so the update vectorizes across points --
+// AVX2 processes four bins per instruction -- without touching any single
+// accumulator's FP operation order.  Every point is bit-identical to a
+// scalar UnivariateTTest fed the same values, asserted with == in
+// tests/moment_bank_test.cpp, and the serialized form is a u64 point
+// count followed by each point's UnivariateTTest::encode, a checkpoint
+// format pinned byte for byte by the same test.
 //
 // The class-count sharing is a structural invariant, not an assumption:
-// add_trace() feeds every point, exactly like TvlaCampaign::add_trace.
-// decode()/from_campaign() verify it and reject nonuniform input.
+// add_trace() feeds every point, and decode() verifies it and rejects
+// nonuniform input.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "leakage/tvla.hpp"
+#include "leakage/ttest.hpp"
 #include "support/snapshot.hpp"
 
 namespace glitchmask::leakage {
@@ -60,21 +59,25 @@ void fold_row_avx2(double* mean, double* sums, std::size_t points,
 
 class MomentBank {
 public:
-    /// Empty bank (0 points); assignable from decode()/from_campaign().
+    /// Empty bank (0 points); assignable from decode().
     MomentBank() = default;
 
     /// `max_test_order` in 1..3; central moments to 2*order are kept per
-    /// point, exactly like TvlaCampaign(points, max_test_order).
+    /// point, exactly like UnivariateTTest(max_test_order) per point.
     MomentBank(std::size_t points, int max_test_order = 3);
 
     /// Folds one complete trace (`row[0..points())`) into the given
-    /// class.  Equivalent to TvlaCampaign::add_trace -- each per-point
-    /// accumulator receives the same addend in the same position of its
-    /// sequence -- but one vectorized pass instead of a point loop.
+    /// class.  Equivalent to UnivariateTTest::add on every point in turn
+    /// -- each per-point accumulator receives the same addend in the same
+    /// position of its sequence -- but one vectorized pass.
     void add_trace(bool fixed_class, const double* row);
 
+    /// Checked form: `row.size()` may exceed points() (extra samples are
+    /// ignored) but not undercut it (std::invalid_argument).
+    void add_trace(bool fixed_class, std::span<const double> row);
+
     /// Pairwise Pebay merge, bit-identical to merging the per-point
-    /// accumulators (TvlaCampaign::merge).
+    /// accumulators (UnivariateTTest::merge).
     void merge(const MomentBank& other);
 
     [[nodiscard]] std::size_t points() const noexcept { return points_; }
@@ -100,19 +103,10 @@ public:
     [[nodiscard]] std::vector<std::size_t> exceedances(
         int order, double threshold = kTvlaThreshold) const;
 
-    /// Fixed-vs-random SNR at one point: variance of the two class means
-    /// over the mean of the class variances, computed from the bank's own
-    /// moments with the guard/sentinel sequence of SnrAccumulator::snr.
-    [[nodiscard]] double snr(std::size_t point) const;
-
-    /// Byte-identical to TvlaCampaign::encode of the equivalent campaign,
-    /// so bank and campaign checkpoints are interchangeable.
+    /// Exact binary serialization: u64 points, then per point the bytes
+    /// UnivariateTTest::encode writes for the equivalent accumulator.
     void encode(SnapshotWriter& out) const;
     [[nodiscard]] static MomentBank decode(SnapshotReader& in);
-
-    /// Conversions through the shared serialized form (exact).
-    [[nodiscard]] TvlaCampaign to_campaign() const;
-    [[nodiscard]] static MomentBank from_campaign(const TvlaCampaign& campaign);
 
 private:
     struct ClassPlanes {
@@ -124,13 +118,11 @@ private:
     void fold(ClassPlanes& planes, const double* row);
     void merge_class(ClassPlanes& into, const ClassPlanes& from) const;
 
-    [[nodiscard]] double central_moment(const ClassPlanes& planes,
-                                        std::size_t point, int p) const;
-    [[nodiscard]] double preprocessed_mean(const ClassPlanes& planes,
-                                           std::size_t point, int order) const;
-    [[nodiscard]] double preprocessed_variance(const ClassPlanes& planes,
-                                               std::size_t point,
-                                               int order) const;
+    [[nodiscard]] ClassMoments view(const ClassPlanes& planes,
+                                    std::size_t point) const noexcept {
+        return {planes.n, planes.mean[point], planes.sums.data() + point,
+                points_};
+    }
 
     std::size_t points_ = 0;
     int max_test_order_ = 0;
@@ -138,5 +130,12 @@ private:
     ClassPlanes fixed_;
     ClassPlanes random_;
 };
+
+/// Paper decision rule (Sec. VII-A): indices where *every* bank exceeds
+/// the threshold at the same sample (same order).  An implementation is
+/// deemed first-order leaky only when this set is non-empty.
+[[nodiscard]] std::vector<std::size_t> consistent_exceedances(
+    std::span<const MomentBank> banks, int order,
+    double threshold = kTvlaThreshold);
 
 }  // namespace glitchmask::leakage

@@ -3,25 +3,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "leakage/pebay.hpp"
+
 namespace glitchmask::leakage {
-
-namespace {
-
-/// Binomial coefficients up to the small orders we use (p <= ~12).
-[[nodiscard]] double binomial(int n, int k) {
-    double result = 1.0;
-    for (int i = 1; i <= k; ++i)
-        result = result * static_cast<double>(n - k + i) / static_cast<double>(i);
-    return result;
-}
-
-[[nodiscard]] double ipow(double base, int exponent) {
-    double result = 1.0;
-    for (int i = 0; i < exponent; ++i) result *= base;
-    return result;
-}
-
-}  // namespace
 
 MomentAccumulator::MomentAccumulator(int max_order) {
     if (max_order < 2) throw std::invalid_argument("MomentAccumulator: order < 2");
@@ -47,10 +31,6 @@ void MomentAccumulator::add(double x) {
         update += ipow(term, p) * (1.0 - ipow(-1.0 / n1, p - 1));
         sums_[p] = update;
     }
-}
-
-void MomentAccumulator::add_batch(std::span<const double> values) {
-    for (const double x : values) add(x);
 }
 
 void MomentAccumulator::merge(const MomentAccumulator& other) {
@@ -110,8 +90,7 @@ MomentAccumulator MomentAccumulator::decode(SnapshotReader& in) {
 double MomentAccumulator::central_moment(int p) const {
     if (p < 2 || p > max_order())
         throw std::out_of_range("MomentAccumulator::central_moment");
-    if (n_ == 0.0) return 0.0;
-    return sums_[p] / n_;
+    return view().central_moment(p);
 }
 
 }  // namespace glitchmask::leakage

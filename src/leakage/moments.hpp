@@ -9,13 +9,31 @@
 // approach used by production leakage-assessment tooling.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "support/snapshot.hpp"
 
 namespace glitchmask::leakage {
+
+/// Read-only view of one class's streaming moments: the count, the mean
+/// and the central power sums sum((x - mean)^p), order p at
+/// `sums[p * stride]`.  A MomentAccumulator (stride 1) and one point of a
+/// MomentBank (stride = points) present the same view, so the order-d
+/// t-test formulas (leakage/ttest.hpp) exist once for both.
+struct ClassMoments {
+    double n = 0.0;
+    double mean = 0.0;
+    const double* sums = nullptr;
+    std::size_t stride = 1;
+
+    /// m_p = E[(x - mean)^p]; 0.0 for an empty class.
+    [[nodiscard]] double central_moment(int p) const noexcept {
+        if (n == 0.0) return 0.0;
+        return sums[static_cast<std::size_t>(p) * stride] / n;
+    }
+};
 
 class MomentAccumulator {
 public:
@@ -23,11 +41,6 @@ public:
     explicit MomentAccumulator(int max_order = 6);
 
     void add(double x);
-
-    /// Folds `values` in order -- exactly equivalent to calling add() on
-    /// each element, kept as one call so the batch (bitsliced) collection
-    /// path updates an accumulator with a single virtual-free hot loop.
-    void add_batch(std::span<const double> values);
 
     /// Combines another accumulator (same max_order) into this one.
     void merge(const MomentAccumulator& other);
@@ -39,6 +52,10 @@ public:
 
     /// p-th central moment  m_p = E[(x - mean)^p],  2 <= p <= max_order.
     [[nodiscard]] double central_moment(int p) const;
+
+    [[nodiscard]] ClassMoments view() const noexcept {
+        return {n_, mean_, sums_.data(), 1};
+    }
 
     /// Population variance (= central_moment(2)).
     [[nodiscard]] double variance() const { return central_moment(2); }

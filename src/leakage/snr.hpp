@@ -1,8 +1,7 @@
 // Signal-to-noise ratio of a leakage sample with respect to a discrete
 // intermediate value:  SNR = Var_v( E[x | v] ) / E_v( Var[x | v] ).
-// Used by the composition tests to quantify how strongly a net's
-// activity depends on an unshared value, and by EXPERIMENTS.md to relate
-// our synthetic noise sigma to the paper's trace counts.
+// A standalone utility: tests/leakage_test.cpp pins its value and its
+// degenerate-input sentinels; no campaign path uses it.
 #pragma once
 
 #include <cstddef>

@@ -21,25 +21,34 @@ double welch_t(double mean_a, double var_a, double n_a, double mean_b,
     return std::isfinite(t) ? t : 0.0;
 }
 
-double preprocessed_mean(const MomentAccumulator& acc, int order) {
+double preprocessed_mean(const ClassMoments& moments, int order) {
     if (order < 1) throw std::invalid_argument("preprocessed_mean: order < 1");
-    if (order == 1) return acc.mean();
-    if (order == 2) return acc.central_moment(2);
-    const double m2 = acc.central_moment(2);
+    if (order == 1) return moments.mean;
+    if (order == 2) return moments.central_moment(2);
+    const double m2 = moments.central_moment(2);
     if (!(m2 > 0.0)) return 0.0;
-    return acc.central_moment(order) / std::pow(m2, order / 2.0);
+    return moments.central_moment(order) / std::pow(m2, order / 2.0);
 }
 
-double preprocessed_variance(const MomentAccumulator& acc, int order) {
+double preprocessed_variance(const ClassMoments& moments, int order) {
     if (order < 1) throw std::invalid_argument("preprocessed_variance: order < 1");
-    if (order == 1) return acc.central_moment(2);
-    const double md = acc.central_moment(order);
-    const double m2d = acc.central_moment(2 * order);
+    if (order == 1) return moments.central_moment(2);
+    const double md = moments.central_moment(order);
+    const double m2d = moments.central_moment(2 * order);
     if (order == 2) return m2d - md * md;
-    const double m2 = acc.central_moment(2);
+    const double m2 = moments.central_moment(2);
     if (!(m2 > 0.0)) return 0.0;
     const double var = (m2d - md * md) / std::pow(m2, static_cast<double>(order));
     return std::isfinite(var) ? var : 0.0;
+}
+
+double order_t(const ClassMoments& fixed, const ClassMoments& random,
+               int order) {
+    if (fixed.n <= 1.0 || random.n <= 1.0) return 0.0;
+    return welch_t(preprocessed_mean(fixed, order),
+                   preprocessed_variance(fixed, order), fixed.n,
+                   preprocessed_mean(random, order),
+                   preprocessed_variance(random, order), random.n);
 }
 
 UnivariateTTest::UnivariateTTest(int max_test_order)
@@ -54,19 +63,10 @@ void UnivariateTTest::add(bool fixed_class, double x) {
     (fixed_class ? fixed_ : random_).add(x);
 }
 
-void UnivariateTTest::add_batch(bool fixed_class,
-                                std::span<const double> values) {
-    (fixed_class ? fixed_ : random_).add_batch(values);
-}
-
 double UnivariateTTest::t(int order) const {
     if (order < 1 || order > max_test_order_)
         throw std::out_of_range("UnivariateTTest::t: order out of range");
-    if (fixed_.count() <= 1.0 || random_.count() <= 1.0) return 0.0;
-    return welch_t(preprocessed_mean(fixed_, order),
-                   preprocessed_variance(fixed_, order), fixed_.count(),
-                   preprocessed_mean(random_, order),
-                   preprocessed_variance(random_, order), random_.count());
+    return order_t(fixed_.view(), random_.view(), order);
 }
 
 double UnivariateTTest::count(bool fixed_class) const {

@@ -25,11 +25,19 @@ inline constexpr double kTvlaThreshold = 4.5;
                              double mean_b, double var_b, double n_b);
 
 /// Mean of the order-d preprocessed trace, from central moments.
-[[nodiscard]] double preprocessed_mean(const MomentAccumulator& acc, int order);
+[[nodiscard]] double preprocessed_mean(const ClassMoments& moments, int order);
 
 /// Variance of the order-d preprocessed trace, from central moments
-/// (requires the accumulator to hold moments up to 2*order).
-[[nodiscard]] double preprocessed_variance(const MomentAccumulator& acc, int order);
+/// (requires the view to hold moments up to 2*order).
+[[nodiscard]] double preprocessed_variance(const ClassMoments& moments,
+                                           int order);
+
+/// Order-d fixed-vs-random t: Welch's t over both classes' preprocessed
+/// means and variances; the sentinel 0.0 while either class has n <= 1.
+/// The one copy of the formula behind UnivariateTTest::t and
+/// MomentBank::t, which check `order` against the moments they hold.
+[[nodiscard]] double order_t(const ClassMoments& fixed,
+                             const ClassMoments& random, int order);
 
 /// One sample point of a fixed-vs-random test, orders 1..max_order.
 class UnivariateTTest {
@@ -38,9 +46,6 @@ public:
     explicit UnivariateTTest(int max_test_order = 3);
 
     void add(bool fixed_class, double x);
-
-    /// Folds a run of same-class samples in order (== repeated add()).
-    void add_batch(bool fixed_class, std::span<const double> values);
 
     /// t-statistic at order `d` (1 <= d <= max_test_order); the sentinel
     /// 0.0 while a class is still empty or degenerate (n < 2, zero

@@ -7,10 +7,11 @@
 #include <utility>
 #include <vector>
 
+#include "leakage/moment_bank.hpp"
 #include "leakage/moments.hpp"
 #include "leakage/snr.hpp"
 #include "leakage/ttest.hpp"
-#include "leakage/tvla.hpp"
+#include "support/campaign_error.hpp"
 #include "support/rng.hpp"
 
 namespace glitchmask::leakage {
@@ -216,7 +217,7 @@ TEST(TTest, PreprocessedVarianceOrder2Identity) {
     MomentAccumulator acc(4);
     const std::vector<double> xs = random_data(8, 4000);
     for (const double x : xs) acc.add(x);
-    EXPECT_NEAR(preprocessed_variance(acc, 2),
+    EXPECT_NEAR(preprocessed_variance(acc.view(), 2),
                 acc.central_moment(4) -
                     acc.central_moment(2) * acc.central_moment(2),
                 1e-9);
@@ -225,7 +226,7 @@ TEST(TTest, PreprocessedVarianceOrder2Identity) {
 TEST(Tvla, CurveFlagsOnlyLeakySample) {
     constexpr std::size_t kSamples = 8;
     constexpr std::size_t kLeaky = 3;
-    TvlaCampaign campaign(kSamples, 2);
+    MomentBank campaign(kSamples, 2);
     Xoshiro256 rng(9);
     std::vector<double> trace(kSamples);
     for (int i = 0; i < 20000; ++i) {
@@ -246,7 +247,7 @@ TEST(Tvla, ConsistencyRuleRejectsInconsistentPeaks) {
     // Two campaigns leak at different indexes: the paper's rule says the
     // implementation is not deemed leaky.
     auto make = [](std::size_t leaky_index, std::uint64_t seed) {
-        TvlaCampaign campaign(6, 1);
+        MomentBank campaign(6, 1);
         Xoshiro256 rng(seed);
         std::vector<double> trace(6);
         for (int i = 0; i < 20000; ++i) {
@@ -257,34 +258,35 @@ TEST(Tvla, ConsistencyRuleRejectsInconsistentPeaks) {
         }
         return campaign;
     };
-    const TvlaCampaign campaigns_diff[] = {make(1, 10), make(4, 11)};
+    const MomentBank campaigns_diff[] = {make(1, 10), make(4, 11)};
     EXPECT_TRUE(consistent_exceedances(campaigns_diff, 1).empty());
-    const TvlaCampaign campaigns_same[] = {make(2, 12), make(2, 13)};
+    const MomentBank campaigns_same[] = {make(2, 12), make(2, 13)};
     const auto hits = consistent_exceedances(campaigns_same, 1);
     ASSERT_FALSE(hits.empty());
     EXPECT_EQ(hits.front(), 2u);
 }
 
 TEST(Tvla, TraceCountsPerClass) {
-    TvlaCampaign campaign(2, 1);
+    MomentBank campaign(2, 1);
     const std::vector<double> trace{0.0, 1.0};
     campaign.add_trace(true, trace);
     campaign.add_trace(true, trace);
     campaign.add_trace(false, trace);
-    EXPECT_EQ(campaign.traces(true), 2u);
-    EXPECT_EQ(campaign.traces(false), 1u);
+    EXPECT_EQ(campaign.count(true), 2.0);
+    EXPECT_EQ(campaign.count(false), 1.0);
 }
 
 TEST(Tvla, RejectsShortTraces) {
-    TvlaCampaign campaign(4, 1);
+    MomentBank campaign(4, 1);
     const std::vector<double> trace{0.0, 1.0};
     EXPECT_THROW(campaign.add_trace(true, trace), std::invalid_argument);
+    EXPECT_EQ(campaign.count(true), 0.0);  // rejected before any fold
 }
 
 TEST(Tvla, MergeMatchesSequential) {
-    TvlaCampaign whole(4, 2);
-    TvlaCampaign left(4, 2);
-    TvlaCampaign right(4, 2);
+    MomentBank whole(4, 2);
+    MomentBank left(4, 2);
+    MomentBank right(4, 2);
     Xoshiro256 rng(21);
     std::vector<double> trace(4);
     for (int i = 0; i < 4000; ++i) {
@@ -296,7 +298,7 @@ TEST(Tvla, MergeMatchesSequential) {
     left.merge(right);
     for (int order = 1; order <= 2; ++order)
         for (std::size_t s = 0; s < 4; ++s)
-            EXPECT_NEAR(left.point(s).t(order), whole.point(s).t(order), 1e-9);
+            EXPECT_NEAR(left.t(s, order), whole.t(s, order), 1e-9);
 }
 
 TEST(Tvla, MergeAssociativityUnevenShards) {
@@ -304,9 +306,9 @@ TEST(Tvla, MergeAssociativityUnevenShards) {
     // are short): both association orders must agree to rounding, and the
     // class trace counts must add up exactly.
     const std::array<std::size_t, 3> sizes{100, 31, 5};
-    std::array<TvlaCampaign, 3> shard{TvlaCampaign(3, 3), TvlaCampaign(3, 3),
-                                      TvlaCampaign(3, 3)};
-    TvlaCampaign whole(3, 3);
+    std::array<MomentBank, 3> shard{MomentBank(3, 3), MomentBank(3, 3),
+                                    MomentBank(3, 3)};
+    MomentBank whole(3, 3);
     Xoshiro256 rng(33);
     std::vector<double> trace(3);
     for (std::size_t s = 0; s < sizes.size(); ++s) {
@@ -317,22 +319,21 @@ TEST(Tvla, MergeAssociativityUnevenShards) {
             whole.add_trace(fixed, trace);
         }
     }
-    TvlaCampaign left_first = shard[0];
+    MomentBank left_first = shard[0];
     left_first.merge(shard[1]);
     left_first.merge(shard[2]);
-    TvlaCampaign right_first = shard[1];
+    MomentBank right_first = shard[1];
     right_first.merge(shard[2]);
-    TvlaCampaign a = shard[0];
+    MomentBank a = shard[0];
     a.merge(right_first);
 
-    EXPECT_EQ(left_first.traces(true) + left_first.traces(false),
-              sizes[0] + sizes[1] + sizes[2]);
-    EXPECT_EQ(left_first.traces(true), whole.traces(true));
+    EXPECT_EQ(left_first.count(true) + left_first.count(false),
+              static_cast<double>(sizes[0] + sizes[1] + sizes[2]));
+    EXPECT_EQ(left_first.count(true), whole.count(true));
     for (int order = 1; order <= 3; ++order)
         for (std::size_t s = 0; s < 3; ++s) {
-            EXPECT_NEAR(left_first.point(s).t(order), a.point(s).t(order), 1e-9);
-            EXPECT_NEAR(left_first.point(s).t(order), whole.point(s).t(order),
-                        1e-7);
+            EXPECT_NEAR(left_first.t(s, order), a.t(s, order), 1e-9);
+            EXPECT_NEAR(left_first.t(s, order), whole.t(s, order), 1e-7);
         }
 }
 
@@ -406,7 +407,7 @@ TEST(TTest, ConstantTracesGiveFiniteZero) {
 }
 
 TEST(Tvla, DegenerateCampaignCurvesAreFinite) {
-    TvlaCampaign campaign(3, 3);
+    MomentBank campaign(3, 3);
     campaign.add_trace(true, std::vector<double>{1.0, 1.0, 1.0});
     for (int order = 1; order <= 3; ++order) {
         for (const double t : campaign.t_curve(order))
@@ -498,7 +499,7 @@ TEST(Moments, MergeAfterDeserializeEqualsInMemoryMerge) {
 }
 
 TEST(Tvla, EncodeDecodeRoundTripPreservesTCurves) {
-    TvlaCampaign campaign(5, 3);
+    MomentBank campaign(5, 3);
     Xoshiro256 rng(43);
     std::vector<double> trace(5);
     for (int i = 0; i < 2000; ++i) {
@@ -511,14 +512,31 @@ TEST(Tvla, EncodeDecodeRoundTripPreservesTCurves) {
     campaign.encode(out);
     const std::vector<std::uint8_t> bytes = std::move(out).finish();
     SnapshotReader in(bytes);
-    const TvlaCampaign back = TvlaCampaign::decode(in);
+    const MomentBank back = MomentBank::decode(in);
 
-    ASSERT_EQ(back.samples(), campaign.samples());
-    EXPECT_EQ(back.traces(true), campaign.traces(true));
-    EXPECT_EQ(back.traces(false), campaign.traces(false));
+    ASSERT_EQ(back.points(), campaign.points());
+    EXPECT_EQ(back.max_test_order(), campaign.max_test_order());
+    EXPECT_EQ(back.count(true), campaign.count(true));
+    EXPECT_EQ(back.count(false), campaign.count(false));
     for (int order = 1; order <= 3; ++order)
         EXPECT_EQ(back.t_curve(order), campaign.t_curve(order))
             << "order " << order;
+    EXPECT_TRUE(in.exhausted());
+
+    // Rejects: an implausible point count, and a snapshot cut short
+    // inside its first point.
+    const auto expect_corrupt = [](SnapshotWriter&& writer) {
+        const std::vector<std::uint8_t> sealed = std::move(writer).finish();
+        SnapshotReader reader(sealed);
+        EXPECT_THROW((void)MomentBank::decode(reader), CampaignError);
+    };
+    SnapshotWriter implausible;
+    implausible.u64((std::uint64_t{1} << 32) + 1);
+    expect_corrupt(std::move(implausible));
+    SnapshotWriter truncated;
+    truncated.u64(5);
+    truncated.u32(3);
+    expect_corrupt(std::move(truncated));
 }
 
 }  // namespace

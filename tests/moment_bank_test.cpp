@@ -1,14 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "eval/gadget_tvla.hpp"
 #include "leakage/moment_bank.hpp"
-#include "leakage/snr.hpp"
 #include "leakage/ttest.hpp"
-#include "leakage/tvla.hpp"
 #include "support/campaign_error.hpp"
 #include "support/rng.hpp"
 #include "support/simd.hpp"
@@ -23,15 +22,18 @@ std::vector<double> random_row(Xoshiro256& rng, std::size_t points) {
     return row;
 }
 
-/// Feeds the same labelled random traces to a MomentBank and a
-/// TvlaCampaign.  Point count deliberately not a multiple of 4 so the
-/// AVX2 kernel exercises its scalar tail.
+/// The scalar reference: one UnivariateTTest per sample point.
+using Reference = std::vector<UnivariateTTest>;
+
+/// Feeds the same labelled random traces to a MomentBank and to the
+/// scalar reference, point by point.  Point count deliberately not a
+/// multiple of 4 so the AVX2 kernel exercises its scalar tail.
 struct Pair {
     MomentBank bank;
-    TvlaCampaign campaign;
+    Reference reference;
 
     Pair(std::size_t points, int order)
-        : bank(points, order), campaign(points, order) {}
+        : bank(points, order), reference(points, UnivariateTTest(order)) {}
 
     void feed(std::uint64_t seed, std::size_t traces) {
         Xoshiro256 rng(seed);
@@ -39,18 +41,25 @@ struct Pair {
             const bool fixed = rng.bit();
             const std::vector<double> row = random_row(rng, bank.points());
             bank.add_trace(fixed, row.data());
-            campaign.add_trace(fixed, row);
+            for (std::size_t i = 0; i < row.size(); ++i)
+                reference[i].add(fixed, row[i]);
         }
+    }
+
+    void merge(const Pair& other) {
+        bank.merge(other.bank);
+        for (std::size_t i = 0; i < reference.size(); ++i)
+            reference[i].merge(other.reference[i]);
     }
 };
 
 /// Exact (==) state comparison: counts, means, raw central sums and the
 /// t statistics at every order.  The bank's contract is bit-identity
 /// with the scalar accumulators, not closeness.
-void expect_identical(const MomentBank& bank, const TvlaCampaign& campaign) {
-    ASSERT_EQ(bank.points(), campaign.samples());
+void expect_identical(const MomentBank& bank, const Reference& reference) {
+    ASSERT_EQ(bank.points(), reference.size());
     for (std::size_t i = 0; i < bank.points(); ++i) {
-        const UnivariateTTest& point = campaign.point(i);
+        const UnivariateTTest& point = reference[i];
         for (const bool cls : {true, false}) {
             const MomentAccumulator& acc = point.moments(cls);
             EXPECT_EQ(bank.count(cls), acc.count());
@@ -70,18 +79,30 @@ TEST(MomentBank, MatchesScalarAccumulatorsExactly) {
         SCOPED_TRACE(order);
         Pair pair(23, order);
         pair.feed(7 + static_cast<std::uint64_t>(order), 400);
-        expect_identical(pair.bank, pair.campaign);
+        expect_identical(pair.bank, pair.reference);
         for (int d = 1; d <= order; ++d) {
-            EXPECT_EQ(pair.bank.max_abs_t(d), pair.campaign.max_abs_t(d));
-            EXPECT_EQ(pair.bank.t_curve(d), pair.campaign.t_curve(d));
-            EXPECT_EQ(pair.bank.exceedances(d, 0.5),
-                      pair.campaign.exceedances(d, 0.5));
+            // The batched queries against the reference points' t: the
+            // curve, its first maximum |t| and the threshold sweep.
+            std::vector<double> curve;
+            std::vector<std::size_t> over;
+            double best = 0.0;
+            std::size_t argmax = 0;
+            for (std::size_t i = 0; i < pair.reference.size(); ++i) {
+                curve.push_back(pair.reference[i].t(d));
+                const double value = std::fabs(curve.back());
+                if (value > best) {
+                    best = value;
+                    argmax = i;
+                }
+                if (value > 0.5) over.push_back(i);
+            }
+            ASSERT_GT(best, 0.0);  // not vacuous
+            std::size_t bank_argmax = 99;
+            EXPECT_EQ(pair.bank.max_abs_t(d, &bank_argmax), best);
+            EXPECT_EQ(bank_argmax, argmax);
+            EXPECT_EQ(pair.bank.t_curve(d), curve);
+            EXPECT_EQ(pair.bank.exceedances(d, 0.5), over);
         }
-        std::size_t bank_argmax = 99;
-        std::size_t campaign_argmax = 77;
-        (void)pair.bank.max_abs_t(1, &bank_argmax);
-        (void)pair.campaign.max_abs_t(1, &campaign_argmax);
-        EXPECT_EQ(bank_argmax, campaign_argmax);
     }
 }
 
@@ -90,11 +111,11 @@ TEST(MomentBank, FirstTraceAndSentinelsMatchTTest) {
     // (Pebay's n1 == 0 branch), both must return the scalar sentinels.
     Pair pair(5, 3);
     for (int order = 1; order <= 3; ++order)
-        EXPECT_EQ(pair.bank.t(0, order), pair.campaign.point(0).t(order));
+        EXPECT_EQ(pair.bank.t(0, order), pair.reference[0].t(order));
     pair.feed(3, 1);
-    expect_identical(pair.bank, pair.campaign);
+    expect_identical(pair.bank, pair.reference);
     pair.feed(4, 2);
-    expect_identical(pair.bank, pair.campaign);
+    expect_identical(pair.bank, pair.reference);
 }
 
 #if defined(GLITCHMASK_HAVE_AVX2)
@@ -125,59 +146,54 @@ TEST(MomentBank, Avx2KernelMatchesScalarKernelExactly) {
 }
 #endif
 
-TEST(MomentBank, MergeMatchesCampaignMergeExactly) {
-    // Split/merge must mirror the per-point accumulator merges: compare
-    // the merged bank both against a merged campaign and against one
-    // bank fed sequentially (merge order effects included).
+TEST(MomentBank, MergeMatchesPointMergesExactly) {
+    // Split/merge must mirror the per-point accumulator merges, merge
+    // order effects included.
     Pair left(17, 3);
     Pair right(17, 3);
     left.feed(101, 137);
     right.feed(202, 363);
-    left.bank.merge(right.bank);
-    left.campaign.merge(right.campaign);
-    expect_identical(left.bank, left.campaign);
+    left.merge(right);
+    expect_identical(left.bank, left.reference);
 
     // Merging into an empty bank copies; merging an empty is a no-op.
     MomentBank empty(17, 3);
     empty.merge(left.bank);
-    expect_identical(empty, left.campaign);
+    expect_identical(empty, left.reference);
     left.bank.merge(MomentBank(17, 3));
-    expect_identical(left.bank, left.campaign);
+    expect_identical(left.bank, left.reference);
 
     MomentBank mismatched(16, 3);
     EXPECT_THROW(left.bank.merge(mismatched), std::invalid_argument);
 }
 
-TEST(MomentBank, SnapshotIsByteIdenticalToCampaignAndRoundTrips) {
+TEST(MomentBank, SnapshotFormatIsPinnedAndRoundTrips) {
     Pair pair(13, 3);
     pair.feed(55, 250);
 
-    // The wire format is TvlaCampaign's, byte for byte -- checkpoints
-    // written by either representation resume into the other.
+    // The checkpoint format, byte for byte: u64 points, then each
+    // point's UnivariateTTest::encode.  Campaign checkpoints on disk use
+    // this format, so it must not drift.
     SnapshotWriter bank_out;
     pair.bank.encode(bank_out);
-    SnapshotWriter campaign_out;
-    pair.campaign.encode(campaign_out);
+    SnapshotWriter reference_out;
+    reference_out.u64(pair.reference.size());
+    for (const UnivariateTTest& point : pair.reference)
+        point.encode(reference_out);
     const std::vector<std::uint8_t> bank_bytes = std::move(bank_out).finish();
-    const std::vector<std::uint8_t> campaign_bytes =
-        std::move(campaign_out).finish();
-    EXPECT_EQ(bank_bytes, campaign_bytes);
+    const std::vector<std::uint8_t> reference_bytes =
+        std::move(reference_out).finish();
+    EXPECT_EQ(bank_bytes, reference_bytes);
 
     SnapshotReader bank_in(bank_bytes);
     const MomentBank decoded = MomentBank::decode(bank_in);
-    expect_identical(decoded, pair.campaign);
-
-    SnapshotReader campaign_in(bank_bytes);
-    const TvlaCampaign cross = TvlaCampaign::decode(campaign_in);
-    expect_identical(pair.bank, cross);
-
-    expect_identical(pair.bank, pair.bank.to_campaign());
-    expect_identical(MomentBank::from_campaign(pair.campaign), pair.campaign);
+    EXPECT_TRUE(bank_in.exhausted());
+    expect_identical(decoded, pair.reference);
 }
 
 TEST(MomentBank, DecodeRejectsCorruptSnapshots) {
     // The bank's extra structural invariant: every point must carry the
-    // same test order and per-class count (TvlaCampaign can never write
+    // same test order and per-class count (encode can never write
     // anything else, so nonuniformity means corruption).
     const auto write_point = [](SnapshotWriter& out, std::uint32_t order,
                                 std::uint32_t acc_order, double n) {
@@ -216,29 +232,6 @@ TEST(MomentBank, DecodeRejectsCorruptSnapshots) {
     bad_order.u64(1);
     write_point(bad_order, 9, 18, 2.0);
     expect_corrupt(std::move(bad_order));
-}
-
-TEST(MomentBank, SnrMatchesSnrAccumulator) {
-    constexpr std::size_t kPoints = 9;
-    MomentBank bank(kPoints, 1);
-    std::vector<SnrAccumulator> snr;
-    for (std::size_t i = 0; i < kPoints; ++i) snr.emplace_back(2);
-    Xoshiro256 rng(61);
-    for (std::size_t n = 0; n < 300; ++n) {
-        const bool fixed = rng.bit();
-        const std::vector<double> row = random_row(rng, kPoints);
-        bank.add_trace(fixed, row.data());
-        for (std::size_t i = 0; i < kPoints; ++i)
-            snr[i].add(fixed ? 0 : 1, row[i]);
-    }
-    for (std::size_t i = 0; i < kPoints; ++i) {
-        // Same formula over differently-streamed state (Welford M2 vs
-        // Pebay central sums): equal to rounding, not necessarily to the
-        // last bit.
-        EXPECT_NEAR(bank.snr(i), snr[i].snr(), 1e-12)
-            << "point " << i;
-        EXPECT_GT(bank.snr(i), 0.0);
-    }
 }
 
 TEST(MomentBank, GadgetTvlaIdenticalAcrossLaneWidths) {
