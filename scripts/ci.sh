@@ -92,6 +92,9 @@ for preset in "${presets[@]}"; do
     "$builddir"/src/glitchmask_ledger list "$ledger" > /dev/null
     rm -rf "$report_dir"
 
+    # Configs that leave lanes open get a compiled pass no wider than a
+    # block, so at the default 64-trace blocks this leg runs 64-lane
+    # passes; the tests that set lanes explicitly cover 128/256/512.
     echo "==> $preset extras: suite under GLITCHMASK_BACKEND=compiled"
     GLITCHMASK_BACKEND=compiled ctest --preset "$preset" -j "$jobs"
 

@@ -160,14 +160,14 @@ template <class Stimulus, class Stats, class Report>
         leakage::AttributionAccumulator attr;  // zero points when off
     };
 
-    validate_campaign_config(setup.traces, setup.block_size, setup.lanes);
+    validate_campaign_config(setup.traces, setup.block_size);
     const CampaignRunOptions& run = setup.run;
     const std::size_t bins = stimulus.bins;
     // Timing coupling makes delays data-dependent, which no shared lane
     // schedule can express: the plan falls back to the scalar engine.
     const BackendPlan bplan =
         resolve_backend_plan(run, setup.lanes, setup.coupling.timing_enabled,
-                             setup.nl.size());
+                             setup.nl.size(), setup.block_size);
     const bool attribute = attribution_enabled(run);
     const leakage::AttributionPlan attr_plan =
         attribute ? leakage::AttributionPlan(setup.nl, bins,

@@ -4,8 +4,8 @@
 // lane-parallel block body against a uniform "chunked sim" API, so the
 // same body serves both backends:
 //
-//   * EventLaneSim  -- BatchClockedSim behind the chunked API, one 64-lane
-//     chunk (the PR-2 bitsliced engine, byte-identical results);
+//   * EventLaneSim -- an alias of sim::BatchClockedSim, the bitsliced
+//     event engine, which speaks the chunked API with one 64-lane chunk;
 //   * sim::CompiledClockedSim -- the compiled wide-lane engine, 1..8
 //     chunks (64..512 traces per pass), program shared through the
 //     process-wide LRU cache.
@@ -19,11 +19,13 @@
 // trace order -- the same MomentBank::add_trace / fold_group call
 // sequence as the event path, hence bit-identical campaign statistics.
 //
-// resolve_backend_plan() owns the policy: CampaignRunOptions::backend
-// beats GLITCHMASK_BACKEND beats "event"; timing coupling always forces
-// the scalar path; compiled lane width defaults to 512 and is clamped to
-// {64,128,256,512}.  The backend (not the width) folds into the campaign
-// fingerprint, so checkpoints refuse to resume across a backend switch.
+// resolve_backend_plan() owns the policy and is the one place lane widths
+// are checked: CampaignRunOptions::backend beats GLITCHMASK_BACKEND beats
+// "event"; a config's lanes beat GLITCHMASK_LANES; lanes = 1 and timing
+// coupling force the scalar path; the compiled width, when left open, is
+// the cache-sized width capped at the block size.  The backend (not the
+// width) folds into the campaign fingerprint, so checkpoints refuse to
+// resume across a backend switch.
 #pragma once
 
 #include <algorithm>
@@ -59,17 +61,22 @@ struct BackendPlan {
     [[nodiscard]] unsigned chunks() const noexcept { return lanes / 64u; }
 };
 
-/// Resolves (backend, lanes) for one campaign.  `configured_lanes` is the
-/// config's lanes knob (0 = auto).  `netlist_nets` sizes the compiled
-/// engine's per-lane state for GLITCHMASK_COMPILED_LANES=auto, which
-/// picks the widest lane count whose working set still fits the cache
-/// (0 = unknown, auto then falls back to the 512 default).  Throws
-/// std::invalid_argument for an unknown backend name or a lane width the
-/// backend cannot serve.
+/// Resolves (backend, lanes) for one campaign; the one place lane widths
+/// are checked.  `configured_lanes` is the config's lanes field (0 = auto:
+/// GLITCHMASK_LANES, else the backend's default).  Lanes = 1 and timing
+/// coupling (delays that depend on data break the shared lane schedule)
+/// give the scalar event path on either backend; the event backend's lane
+/// path is 64 wide.  An explicit compiled width is honoured as given; the
+/// default is the widest width whose per-lane state fits a quarter of the
+/// L2 cache (`netlist_nets` sizes it, 0 = unknown), but no wider than
+/// `block_size` rounded up to a width, since lane groups never span
+/// blocks.  Throws std::invalid_argument for an unknown backend name or a
+/// lane width the backend cannot serve.
 [[nodiscard]] BackendPlan resolve_backend_plan(const CampaignRunOptions& run,
                                                unsigned configured_lanes,
                                                bool timing_coupling,
-                                               std::size_t netlist_nets = 0);
+                                               std::size_t netlist_nets = 0,
+                                               std::size_t block_size = 64);
 
 /// Folds the backend choice into the snapshot identity.  The event
 /// backend folds nothing (pre-existing checkpoints stay valid); the
@@ -78,55 +85,9 @@ struct BackendPlan {
 void fold_backend_fingerprint(CampaignFingerprint& fingerprint,
                               const BackendPlan& plan);
 
-/// BatchClockedSim behind the chunked-sim API (chunks() == 1).  Thin
-/// forwarding only -- the event path's call sequence (and therefore its
-/// results) is unchanged.
-class EventLaneSim {
-public:
-    EventLaneSim(const netlist::Netlist& nl, const sim::DelayModel& dm,
-                 sim::ClockConfig clock = {}, sim::CouplingConfig coupling = {},
-                 sim::SimOptions options = {})
-        : sim_(nl, dm, clock, coupling, options) {}
-
-    [[nodiscard]] unsigned chunks() const noexcept { return 1; }
-
-    void restart() { sim_.restart(); }
-    void set_enable(netlist::CtrlGroup group, bool enabled) {
-        sim_.set_enable(group, enabled);
-    }
-    void set_reset(netlist::CtrlGroup group, bool asserted) {
-        sim_.set_reset(group, asserted);
-    }
-    void set_input(netlist::NetId input, bool value) {
-        sim_.set_input(input, value);
-    }
-    void set_input_word(netlist::NetId input, unsigned /*chunk*/,
-                        std::uint64_t values) {
-        sim_.set_input_word(input, values);
-    }
-    void step(std::size_t cycles = 1) { sim_.step(cycles); }
-
-    [[nodiscard]] std::uint64_t word(netlist::NetId net,
-                                     unsigned /*chunk*/ = 0) const {
-        return sim_.word(net);
-    }
-    [[nodiscard]] sim::TimePs period() const noexcept { return sim_.period(); }
-
-    void set_sink(unsigned /*chunk*/, sim::BatchToggleSink* sink) {
-        sim_.engine().set_sink(sink);
-    }
-    [[nodiscard]] const sim::BatchWordView* chunk_view(unsigned /*chunk*/) const {
-        return &sim_.engine();
-    }
-    [[nodiscard]] telemetry::SimStats stats() const noexcept {
-        return sim_.engine().stats();
-    }
-
-    [[nodiscard]] sim::BatchClockedSim& base() noexcept { return sim_; }
-
-private:
-    sim::BatchClockedSim sim_;
-};
+/// The bitsliced event engine on the lane path: BatchClockedSim already
+/// speaks the chunked-sim API with one 64-lane chunk.
+using EventLaneSim = sim::BatchClockedSim;
 
 /// One campaign worker's lane-parallel replica: a chunked sim plus its
 /// per-chunk sink chain.  Construct in place (make_unique) and call

@@ -1,9 +1,6 @@
 #include "eval/parallel_campaign.hpp"
 
 #include <stdexcept>
-#include <string>
-
-#include "support/env.hpp"
 
 namespace glitchmask::eval {
 
@@ -11,27 +8,7 @@ unsigned resolve_workers(unsigned configured) {
     return configured > 0 ? configured : ThreadPool::default_worker_count();
 }
 
-unsigned resolve_lanes(unsigned configured, bool timing_coupling) {
-    unsigned lanes = configured;
-    if (lanes == 0)
-        lanes = static_cast<unsigned>(env_int("GLITCHMASK_LANES", 64));
-    if (lanes != 1 && lanes != 64)
-        throw std::invalid_argument(
-            "campaign config: lanes must be 1 (scalar) or 64 (bitsliced), got " +
-            std::to_string(lanes));
-    // Data-dependent delays cannot share one event schedule across lanes.
-    if (timing_coupling) {
-        if (lanes == 64)
-            log::info(
-                "timing coupling forces the scalar simulator; ignoring "
-                "lanes=64");
-        return 1;
-    }
-    return lanes;
-}
-
-void validate_campaign_config(std::size_t traces, std::size_t block_size,
-                              unsigned lanes) {
+void validate_campaign_config(std::size_t traces, std::size_t block_size) {
     if (traces == 0)
         throw std::invalid_argument(
             "campaign config: traces must be > 0 (a zero budget would "
@@ -40,12 +17,6 @@ void validate_campaign_config(std::size_t traces, std::size_t block_size,
         throw std::invalid_argument(
             "campaign config: block_size must be > 0 (a zero block size "
             "would silently produce a zero-block plan)");
-    if (lanes != 0 && lanes != 1 && lanes != 64 && lanes != 128 &&
-        lanes != 256 && lanes != 512)
-        throw std::invalid_argument(
-            "campaign config: lanes must be 0 (auto), 1 (scalar), 64 "
-            "(bitsliced) or 128/256/512 (compiled backend), got " +
-            std::to_string(lanes));
 }
 
 }  // namespace glitchmask::eval

@@ -99,23 +99,13 @@ private:
 
 /// Up-front campaign config validation, shared by every driver: rejects
 /// the degenerate values that would otherwise produce a silent zero-block
-/// plan or an unusable lane setting.  Throws std::invalid_argument with a
-/// message naming the field.  `lanes` follows the config convention
-/// (0 = auto, 1 = scalar, 64 = bitsliced).
-void validate_campaign_config(std::size_t traces, std::size_t block_size,
-                              unsigned lanes);
+/// plan.  Throws std::invalid_argument with a message naming the field.
+/// Lane widths are checked by resolve_backend_plan (eval/lane_backend.hpp).
+void validate_campaign_config(std::size_t traces, std::size_t block_size);
 
 /// Resolves a config's `workers` field: 0 = GLITCHMASK_WORKERS env /
 /// hardware_concurrency (ThreadPool::default_worker_count()).
 [[nodiscard]] unsigned resolve_workers(unsigned configured);
-
-/// Resolves a config's `lanes` field (traces simulated per event-queue
-/// pass): 1 = scalar EventSimulator, 64 = bitsliced BatchEventSimulator.
-/// 0 = auto: GLITCHMASK_LANES env, default 64.  Timing coupling makes
-/// delays data-dependent, which breaks the shared-schedule premise of the
-/// batch engine, so `timing_coupling` forces the scalar path regardless
-/// of the configured value.  Throws on values outside {0, 1, 64}.
-[[nodiscard]] unsigned resolve_lanes(unsigned configured, bool timing_coupling);
 
 /// Stream tags feeding mix64(mix64(seed, tag), trace_index): one derived
 /// generator per purpose, so stimulus and noise draws never interleave.

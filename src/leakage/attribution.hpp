@@ -42,7 +42,7 @@
 
 #include "netlist/export.hpp"
 #include "netlist/netlist.hpp"
-#include "sim/batch_simulator.hpp"
+#include "sim/lane_sink.hpp"
 #include "sim/simulator.hpp"
 #include "support/snapshot.hpp"
 

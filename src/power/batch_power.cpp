@@ -1,6 +1,5 @@
 #include "power/batch_power.hpp"
 
-#include <bit>
 #include <stdexcept>
 
 #include "support/bits.hpp"
@@ -47,12 +46,10 @@ void BatchPowerRecorder::on_toggle(NetId net, sim::TimePs time,
     const bool dense = count >= kDenseCutover;
 
     if (!in_window) {
-        if (dense) {
+        if (dense)
             kernels_.count(lane_toggles_.data(), toggled);
-        } else {
-            for (std::uint64_t rest = toggled; rest != 0; rest &= rest - 1)
-                ++lane_toggles_[std::countr_zero(rest)];
-        }
+        else
+            kernels::count_scalar(lane_toggles_.data(), toggled);
         return;
     }
     double* row = trace_.data() + cur_bin_ * sim::kBatchLanes;
@@ -63,32 +60,21 @@ void BatchPowerRecorder::on_toggle(NetId net, sim::TimePs time,
         // Miller term, same-level lanes get the shielding discount --
         // the per-lane analogue of the scalar recorder's branch.
         const std::uint64_t opposite = engine_->word(partner_[net]) ^ values;
-        if (dense) {
+        if (dense)
             kernels_.deposit_coupled(row, lane_toggles_.data(), toggled,
                                      opposite, weight,
                                      config_.coupling_epsilon);
-            return;
-        }
-        for (std::uint64_t rest = toggled; rest != 0; rest &= rest - 1) {
-            const unsigned lane = static_cast<unsigned>(std::countr_zero(rest));
-            ++lane_toggles_[lane];
-            row[lane] += weight + (((opposite >> lane) & 1u) != 0
-                                       ? config_.coupling_epsilon
-                                       : -config_.coupling_epsilon);
-        }
+        else
+            kernels::deposit_coupled_scalar(row, lane_toggles_.data(), toggled,
+                                            opposite, weight,
+                                            config_.coupling_epsilon);
+    } else if (dense) {
+        kernels_.deposit(row, lane_toggles_.data(), toggled, weight);
     } else {
-        if (dense) {
-            kernels_.deposit(row, lane_toggles_.data(), toggled, weight);
-            return;
-        }
         // One walk covers both the per-lane counter and the deposit
         // (glitch-window masks are sparse: schedule groups split lanes by
         // mark time).
-        for (std::uint64_t rest = toggled; rest != 0; rest &= rest - 1) {
-            const unsigned lane = static_cast<unsigned>(std::countr_zero(rest));
-            ++lane_toggles_[lane];
-            row[lane] += weight;
-        }
+        kernels::deposit_scalar(row, lane_toggles_.data(), toggled, weight);
     }
 }
 

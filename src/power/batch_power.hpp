@@ -24,7 +24,7 @@
 
 #include "power/deposit_kernels.hpp"
 #include "power/power_model.hpp"
-#include "sim/batch_simulator.hpp"
+#include "sim/lane_sink.hpp"
 
 namespace glitchmask::power {
 

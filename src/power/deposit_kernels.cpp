@@ -1,34 +1,8 @@
 #include "power/deposit_kernels.hpp"
 
-#include <bit>
-
 #include "support/simd.hpp"
 
 namespace glitchmask::power::kernels {
-
-void deposit_scalar(double* row, std::uint64_t* lane_toggles,
-                    std::uint64_t toggled, double weight) {
-    for (std::uint64_t rest = toggled; rest != 0; rest &= rest - 1) {
-        const unsigned lane = static_cast<unsigned>(std::countr_zero(rest));
-        ++lane_toggles[lane];
-        row[lane] += weight;
-    }
-}
-
-void deposit_coupled_scalar(double* row, std::uint64_t* lane_toggles,
-                            std::uint64_t toggled, std::uint64_t opposite,
-                            double weight, double eps) {
-    for (std::uint64_t rest = toggled; rest != 0; rest &= rest - 1) {
-        const unsigned lane = static_cast<unsigned>(std::countr_zero(rest));
-        ++lane_toggles[lane];
-        row[lane] += weight + (((opposite >> lane) & 1u) != 0 ? eps : -eps);
-    }
-}
-
-void count_scalar(std::uint64_t* lane_toggles, std::uint64_t toggled) {
-    for (std::uint64_t rest = toggled; rest != 0; rest &= rest - 1)
-        ++lane_toggles[std::countr_zero(rest)];
-}
 
 DepositKernels resolve_deposit_kernels() noexcept {
     const support::SimdLevel level = support::active_simd_level();

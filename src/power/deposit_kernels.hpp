@@ -14,8 +14,15 @@
 // The vector TUs are compiled with their -m flag plus -ffp-contract=off;
 // the kernels are pure adds, but the flag pins that down against future
 // edits introducing a fusable multiply.
+//
+// The scalar bit-walks are defined here, inline, because the recorder's
+// sparse branch calls them directly on the per-toggle path.  They have
+// internal linkage (unnamed namespace) on purpose: the vector TUs include
+// this header under -mavx2/-mavx512f, so an external inline copy could
+// let the linker keep a vector-encoded body for the portable callers.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 namespace glitchmask::power::kernels {
@@ -40,12 +47,34 @@ struct DepositKernels {
     CountFn count;
 };
 
-void deposit_scalar(double* row, std::uint64_t* lane_toggles,
-                    std::uint64_t toggled, double weight);
-void deposit_coupled_scalar(double* row, std::uint64_t* lane_toggles,
-                            std::uint64_t toggled, std::uint64_t opposite,
-                            double weight, double eps);
-void count_scalar(std::uint64_t* lane_toggles, std::uint64_t toggled);
+namespace {
+
+inline void deposit_scalar(double* row, std::uint64_t* lane_toggles,
+                           std::uint64_t toggled, double weight) {
+    for (std::uint64_t rest = toggled; rest != 0; rest &= rest - 1) {
+        const unsigned lane = static_cast<unsigned>(std::countr_zero(rest));
+        ++lane_toggles[lane];
+        row[lane] += weight;
+    }
+}
+
+inline void deposit_coupled_scalar(double* row, std::uint64_t* lane_toggles,
+                                   std::uint64_t toggled,
+                                   std::uint64_t opposite, double weight,
+                                   double eps) {
+    for (std::uint64_t rest = toggled; rest != 0; rest &= rest - 1) {
+        const unsigned lane = static_cast<unsigned>(std::countr_zero(rest));
+        ++lane_toggles[lane];
+        row[lane] += weight + (((opposite >> lane) & 1u) != 0 ? eps : -eps);
+    }
+}
+
+inline void count_scalar(std::uint64_t* lane_toggles, std::uint64_t toggled) {
+    for (std::uint64_t rest = toggled; rest != 0; rest &= rest - 1)
+        ++lane_toggles[std::countr_zero(rest)];
+}
+
+}  // namespace
 
 #if defined(GLITCHMASK_HAVE_AVX2)
 void deposit_avx2(double* row, std::uint64_t* lane_toggles,

@@ -293,28 +293,20 @@ TimePs BatchEventSimulator::run_to_quiescence() {
 BatchClockedSim::BatchClockedSim(const Netlist& nl, const DelayModel& dm,
                                  ClockConfig clock, CouplingConfig coupling,
                                  SimOptions options)
-    : nl_(nl), dm_(dm), clock_(clock), engine_(nl, dm, coupling, options) {
-    enable_.assign(nl.max_ctrl_group() + 1u, 0);
-    reset_.assign(nl.max_ctrl_group() + 1u, 0);
-    enable_[netlist::kAlwaysEnabled] = 1;
-}
+    : nl_(nl),
+      dm_(dm),
+      clock_(clock),
+      engine_(nl, dm, coupling, options),
+      controls_(nl.max_ctrl_group()) {}
 
-void BatchClockedSim::set_enable(netlist::CtrlGroup group, bool enabled) {
-    if (group == netlist::kAlwaysEnabled)
-        throw std::runtime_error("BatchClockedSim: group 0 is always enabled");
-    enable_.at(group) = enabled ? 1 : 0;
-}
-
-void BatchClockedSim::set_reset(netlist::CtrlGroup group, bool asserted) {
-    if (group == netlist::kAlwaysEnabled)
-        throw std::runtime_error("BatchClockedSim: group 0 cannot be reset");
-    reset_.at(group) = asserted ? 1 : 0;
-}
-
-void BatchClockedSim::set_input_word(NetId input, std::uint64_t values) {
+void BatchClockedSim::set_input_word(NetId input, unsigned chunk,
+                                     std::uint64_t values) {
     if (nl_.cell(input).kind != netlist::CellKind::Input)
         throw std::runtime_error(
             "BatchClockedSim::set_input_word: not a primary input");
+    if (chunk != 0)
+        throw std::invalid_argument(
+            "BatchClockedSim::set_input_word: chunk out of range");
     pending_.push_back({input, values});
 }
 
@@ -335,9 +327,10 @@ void BatchClockedSim::step(std::size_t cycles) {
         for (const CellId flop : nl_.flops()) {
             const netlist::Cell& cell = nl_.cell(flop);
             std::uint64_t q = engine_.word(flop);
-            if (cell.reset != netlist::kAlwaysEnabled && reset_[cell.reset] != 0) {
+            if (cell.reset != netlist::kAlwaysEnabled &&
+                controls_.in_reset(cell.reset)) {
                 q = 0;
-            } else if (enable_[cell.enable] != 0) {
+            } else if (controls_.enabled(cell.enable)) {
                 q = engine_.pin_word(flop, 0);
             }
             const std::uint64_t changed = q ^ engine_.word(flop);
@@ -360,9 +353,7 @@ void BatchClockedSim::step(std::size_t cycles) {
 
 void BatchClockedSim::restart() {
     engine_.initialize();
-    enable_.assign(enable_.size(), 0);
-    reset_.assign(reset_.size(), 0);
-    enable_[netlist::kAlwaysEnabled] = 1;
+    controls_.clear();
     pending_.clear();
     cycle_ = 0;
 }

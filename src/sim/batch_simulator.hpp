@@ -31,6 +31,11 @@
 // schedule assumption breaks -- the constructor rejects it and campaigns
 // fall back to the scalar path (eval/ owns that policy).  Energy coupling
 // is fine: it only reads committed lane values (power/batch_power.hpp).
+//
+// BatchClockedSim, the clocked testbench, speaks the compiled engine's
+// chunked-sim API with one chunk; eval::EventLaneSim is an alias of it.
+// Sinks and recorders see only sim/lane_sink.hpp, so this header is
+// included by its own .cpp, eval/lane_backend.hpp and tests alone.
 #pragma once
 
 #include <cstdint>
@@ -40,34 +45,10 @@
 #include "netlist/netlist.hpp"
 #include "sim/clocked.hpp"
 #include "sim/delay_model.hpp"
+#include "sim/lane_sink.hpp"
 #include "sim/simulator.hpp"
 
 namespace glitchmask::sim {
-
-/// Number of traces simulated per batch pass (one per bit of a lane word).
-inline constexpr unsigned kBatchLanes = 64;
-
-/// All-lanes mask.
-inline constexpr std::uint64_t kAllLanes = ~std::uint64_t{0};
-
-/// Observer for committed lane-word transitions.  `values` is the full
-/// lane word after the commit; `toggled` marks the lanes that changed.
-class BatchToggleSink {
-public:
-    virtual ~BatchToggleSink() = default;
-    virtual void on_toggle(NetId net, TimePs time, std::uint64_t values,
-                           std::uint64_t toggled) = 0;
-};
-
-/// Read-only lane-word view of committed net values -- the seam the
-/// energy-coupling power model taps (power/batch_power.hpp).  Implemented
-/// by BatchEventSimulator (its one 64-lane word) and by each 64-lane
-/// chunk of the compiled wide-lane engine (sim/compiled_simulator.hpp).
-class BatchWordView {
-public:
-    virtual ~BatchWordView() = default;
-    [[nodiscard]] virtual std::uint64_t word(NetId net) const noexcept = 0;
-};
 
 class BatchEventSimulator final : public BatchWordView {
 public:
@@ -197,38 +178,63 @@ private:
 /// groups, pending primary inputs applied after the edge, per-edge flop
 /// sampling through the wire-delayed pin view).  Control flow (clocking,
 /// enables, resets) is shared across lanes; only data is per-lane.
+///
+/// It speaks the same chunked-sim API as CompiledClockedSim with a single
+/// 64-lane chunk (chunks() == 1, the chunk argument is always 0), so the
+/// campaign pipeline and MaskedDesCore::encrypt_batch_chunks drive either
+/// engine through one code path.
 class BatchClockedSim {
 public:
+    /// Throws std::invalid_argument when timing coupling is requested
+    /// (see BatchEventSimulator).
     BatchClockedSim(const Netlist& nl, const DelayModel& dm,
                     ClockConfig clock = {}, CouplingConfig coupling = {},
                     SimOptions options = {});
 
-    void set_enable(netlist::CtrlGroup group, bool enabled);
-    void set_reset(netlist::CtrlGroup group, bool asserted);
+    [[nodiscard]] unsigned chunks() const noexcept { return 1; }
+
+    void set_enable(netlist::CtrlGroup group, bool enabled) {
+        controls_.set_enable(group, enabled);
+    }
+    void set_reset(netlist::CtrlGroup group, bool asserted) {
+        controls_.set_reset(group, asserted);
+    }
 
     /// Schedules a per-lane primary-input change for right after the next
-    /// clock edge.
-    void set_input_word(NetId input, std::uint64_t values);
+    /// clock edge.  Throws std::invalid_argument for a chunk other than 0.
+    void set_input_word(NetId input, unsigned chunk, std::uint64_t values);
     /// Broadcast form for unmasked control inputs (same value in every
     /// lane) -- keeps testbench FSM code lane-agnostic.
     void set_input(NetId input, bool value) {
-        set_input_word(input, value ? kAllLanes : 0);
+        set_input_word(input, 0, value ? kAllLanes : 0);
     }
 
     void step(std::size_t cycles = 1);
 
-    [[nodiscard]] std::uint64_t word(NetId net) const { return engine_.word(net); }
+    [[nodiscard]] std::uint64_t word(NetId net, unsigned /*chunk*/ = 0) const {
+        return engine_.word(net);
+    }
     [[nodiscard]] bool value(NetId net, unsigned lane) const {
         return engine_.value(net, lane);
     }
 
-    [[nodiscard]] std::size_t cycle() const noexcept { return cycle_; }
-    [[nodiscard]] TimePs period() const noexcept { return clock_.period_ps; }
+    void set_sink(unsigned /*chunk*/, BatchToggleSink* sink) noexcept {
+        engine_.set_sink(sink);
+    }
+    [[nodiscard]] const BatchWordView* chunk_view(unsigned /*chunk*/) const {
+        return &engine_;
+    }
+    [[nodiscard]] telemetry::SimStats stats() const noexcept {
+        return engine_.stats();
+    }
+
     [[nodiscard]] BatchEventSimulator& engine() noexcept { return engine_; }
     [[nodiscard]] const BatchEventSimulator& engine() const noexcept {
         return engine_;
     }
 
+    /// Back to the all-zero state at cycle 0 (keeps the sink; enables and
+    /// resets return to defaults, pending inputs drop).
     void restart();
 
 private:
@@ -236,8 +242,7 @@ private:
     const DelayModel& dm_;
     ClockConfig clock_;
     BatchEventSimulator engine_;
-    std::vector<std::uint8_t> enable_;
-    std::vector<std::uint8_t> reset_;
+    ControlGroups controls_;
     struct PendingInput {
         NetId net;
         std::uint64_t values;

@@ -1,29 +1,41 @@
 #include "sim/clocked.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace glitchmask::sim {
 
-ClockedSim::ClockedSim(const Netlist& nl, const DelayModel& dm,
-                       ClockConfig clock, CouplingConfig coupling,
-                       SimOptions options)
-    : nl_(nl), dm_(dm), clock_(clock), engine_(nl, dm, coupling, options) {
-    enable_.assign(nl.max_ctrl_group() + 1u, 0);
-    reset_.assign(nl.max_ctrl_group() + 1u, 0);
+ControlGroups::ControlGroups(unsigned max_group)
+    : enable_(max_group + 1u, 0), reset_(max_group + 1u, 0) {
     enable_[netlist::kAlwaysEnabled] = 1;
 }
 
-void ClockedSim::set_enable(CtrlGroup group, bool enabled) {
+void ControlGroups::set_enable(CtrlGroup group, bool enabled) {
     if (group == netlist::kAlwaysEnabled)
-        throw std::runtime_error("ClockedSim: group 0 is always enabled");
+        throw std::runtime_error("clocked sim: group 0 is always enabled");
     enable_.at(group) = enabled ? 1 : 0;
 }
 
-void ClockedSim::set_reset(CtrlGroup group, bool asserted) {
+void ControlGroups::set_reset(CtrlGroup group, bool asserted) {
     if (group == netlist::kAlwaysEnabled)
-        throw std::runtime_error("ClockedSim: group 0 cannot be reset");
+        throw std::runtime_error("clocked sim: group 0 cannot be reset");
     reset_.at(group) = asserted ? 1 : 0;
 }
+
+void ControlGroups::clear() noexcept {
+    std::fill(enable_.begin(), enable_.end(), std::uint8_t{0});
+    std::fill(reset_.begin(), reset_.end(), std::uint8_t{0});
+    enable_[netlist::kAlwaysEnabled] = 1;
+}
+
+ClockedSim::ClockedSim(const Netlist& nl, const DelayModel& dm,
+                       ClockConfig clock, CouplingConfig coupling,
+                       SimOptions options)
+    : nl_(nl),
+      dm_(dm),
+      clock_(clock),
+      engine_(nl, dm, coupling, options),
+      controls_(nl.max_ctrl_group()) {}
 
 void ClockedSim::set_input(NetId input, bool value) {
     if (nl_.cell(input).kind != netlist::CellKind::Input)
@@ -57,9 +69,10 @@ void ClockedSim::step(std::size_t cycles) {
         for (const CellId flop : nl_.flops()) {
             const netlist::Cell& cell = nl_.cell(flop);
             bool q = engine_.value(flop);
-            if (cell.reset != netlist::kAlwaysEnabled && reset_[cell.reset] != 0) {
+            if (cell.reset != netlist::kAlwaysEnabled &&
+                controls_.in_reset(cell.reset)) {
                 q = false;
-            } else if (enable_[cell.enable] != 0) {
+            } else if (controls_.enabled(cell.enable)) {
                 q = engine_.pin_value(flop, 0);
             }
             if (q != engine_.value(flop)) updates.push_back({flop, q});
@@ -81,9 +94,7 @@ void ClockedSim::step(std::size_t cycles) {
 
 void ClockedSim::restart() {
     engine_.initialize();
-    enable_.assign(enable_.size(), 0);
-    reset_.assign(reset_.size(), 0);
-    enable_[netlist::kAlwaysEnabled] = 1;
+    controls_.clear();
     pending_.clear();
     cycle_ = 0;
 }

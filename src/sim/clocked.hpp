@@ -27,6 +27,42 @@ struct ClockConfig {
     TimePs period_ps = 20000;
 };
 
+/// Enable/reset state of the flop control groups -- the one copy the
+/// three clocked drivers (ClockedSim, BatchClockedSim, CompiledClockedSim)
+/// share.  Group 0 is always enabled and never reset; every other group
+/// starts disabled with its reset deasserted.
+class ControlGroups {
+public:
+    explicit ControlGroups(unsigned max_group);
+
+    /// Throws std::runtime_error for group 0, std::out_of_range for a
+    /// group past the netlist's highest.
+    void set_enable(CtrlGroup group, bool enabled);
+    void set_reset(CtrlGroup group, bool asserted);
+
+    /// Back to the defaults.
+    void clear() noexcept;
+
+    [[nodiscard]] bool enabled(CtrlGroup group) const noexcept {
+        return enable_[group] != 0;
+    }
+    [[nodiscard]] bool in_reset(CtrlGroup group) const noexcept {
+        return reset_[group] != 0;
+    }
+    /// One byte per group, indexed by CtrlGroup (the compiled engine's
+    /// flop sampler reads these directly).
+    [[nodiscard]] const std::uint8_t* enable_data() const noexcept {
+        return enable_.data();
+    }
+    [[nodiscard]] const std::uint8_t* reset_data() const noexcept {
+        return reset_.data();
+    }
+
+private:
+    std::vector<std::uint8_t> enable_;
+    std::vector<std::uint8_t> reset_;
+};
+
 class ClockedSim {
 public:
     ClockedSim(const Netlist& nl, const DelayModel& dm, ClockConfig clock = {},
@@ -34,10 +70,14 @@ public:
 
     /// Enables/disables a flop group for subsequent edges.  Group 0 is
     /// always enabled; non-zero groups start *disabled*.
-    void set_enable(CtrlGroup group, bool enabled);
+    void set_enable(CtrlGroup group, bool enabled) {
+        controls_.set_enable(group, enabled);
+    }
 
     /// Asserts/deasserts synchronous reset (to 0) for a flop group.
-    void set_reset(CtrlGroup group, bool asserted);
+    void set_reset(CtrlGroup group, bool asserted) {
+        controls_.set_reset(group, asserted);
+    }
 
     /// Schedules a primary-input change; it takes effect right after the
     /// next clock edge (like the output of an external register).
@@ -64,8 +104,7 @@ private:
     const DelayModel& dm_;
     ClockConfig clock_;
     EventSimulator engine_;
-    std::vector<std::uint8_t> enable_;
-    std::vector<std::uint8_t> reset_;
+    ControlGroups controls_;
     struct PendingInput {
         NetId net;
         bool value;

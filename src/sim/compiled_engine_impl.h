@@ -306,11 +306,6 @@ public:
         return cells_[net].out.w[chunk];
     }
 
-    [[nodiscard]] std::uint64_t pin_word(CellId cell, unsigned pin,
-                                         unsigned chunk) const noexcept override {
-        return pin_val_[p_->pin_base[cell] + pin].w[chunk];
-    }
-
     [[nodiscard]] TimePs now() const noexcept override { return now_; }
 
     void begin_activity_window() noexcept override { ++window_epoch_; }

@@ -225,32 +225,17 @@ CompiledClockedSim::CompiledClockedSim(const netlist::Netlist& nl,
                                        ClockConfig clock,
                                        CouplingConfig coupling,
                                        SimOptions options)
-    : nl_(nl), clock_(clock) {
+    : nl_(nl), clock_(clock), controls_(nl.max_ctrl_group()) {
     if (coupling.timing_enabled)
         throw std::invalid_argument(
             "CompiledClockedSim: timing coupling makes delays data-dependent; "
             "lanes cannot share a compiled schedule -- use the scalar "
             "EventSimulator");
-    if (lanes != 64 && lanes != 128 && lanes != 256 && lanes != 512)
+    if (!compiled_lane_width(lanes))
         throw std::invalid_argument(
             "CompiledClockedSim: lanes must be 64, 128, 256 or 512");
     program_ = compile_netlist(nl, dm, options);
     engine_ = make_compiled_engine(program_, lanes / 64u);
-    enable_.assign(nl.max_ctrl_group() + 1u, 0);
-    reset_.assign(nl.max_ctrl_group() + 1u, 0);
-    enable_[netlist::kAlwaysEnabled] = 1;
-}
-
-void CompiledClockedSim::set_enable(netlist::CtrlGroup group, bool enabled) {
-    if (group == netlist::kAlwaysEnabled)
-        throw std::runtime_error("CompiledClockedSim: group 0 is always enabled");
-    enable_.at(group) = enabled ? 1 : 0;
-}
-
-void CompiledClockedSim::set_reset(netlist::CtrlGroup group, bool asserted) {
-    if (group == netlist::kAlwaysEnabled)
-        throw std::runtime_error("CompiledClockedSim: group 0 cannot be reset");
-    reset_.at(group) = asserted ? 1 : 0;
 }
 
 void CompiledClockedSim::set_input_word(NetId input, unsigned chunk,
@@ -279,7 +264,8 @@ void CompiledClockedSim::step(std::size_t cycles) {
         // Flop updates first, pending inputs second: the same seq order
         // as BatchClockedSim::step, so every lane sees the same source
         // events as its scalar run.
-        engine_->sample_flops(enable_.data(), reset_.data(), launch);
+        engine_->sample_flops(controls_.enable_data(), controls_.reset_data(),
+                              launch);
         for (const PendingInput& input : pending_) {
             if (input.chunk == 0xFF)
                 engine_->drive_all(input.net, input.values != 0, launch);
@@ -295,9 +281,7 @@ void CompiledClockedSim::step(std::size_t cycles) {
 
 void CompiledClockedSim::restart() {
     engine_->initialize();
-    enable_.assign(enable_.size(), 0);
-    reset_.assign(reset_.size(), 0);
-    enable_[netlist::kAlwaysEnabled] = 1;
+    controls_.clear();
     pending_.clear();
     cycle_ = 0;
 }

@@ -48,9 +48,9 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "sim/batch_simulator.hpp"
 #include "sim/clocked.hpp"
 #include "sim/delay_model.hpp"
+#include "sim/lane_sink.hpp"
 #include "sim/simulator.hpp"
 #include "support/telemetry.hpp"
 
@@ -58,6 +58,11 @@ namespace glitchmask::sim {
 
 /// Widest supported lane word: 8 x 64 = 512 traces per pass.
 inline constexpr unsigned kMaxLaneChunks = 8;
+
+/// The widths the compiled engine serves: 64 x {1, 2, 4, 8} lanes.
+[[nodiscard]] constexpr bool compiled_lane_width(unsigned lanes) noexcept {
+    return lanes == 64 || lanes == 128 || lanes == 256 || lanes == 512;
+}
 
 /// Immutable replay program for one (netlist, delay model, SimOptions)
 /// triple.  Everything the inner loop touches lives in flat arrays; the
@@ -156,8 +161,6 @@ public:
 
     [[nodiscard]] virtual std::uint64_t word(NetId net,
                                              unsigned chunk) const noexcept = 0;
-    [[nodiscard]] virtual std::uint64_t pin_word(CellId cell, unsigned pin,
-                                                 unsigned chunk) const noexcept = 0;
 
     [[nodiscard]] virtual TimePs now() const noexcept = 0;
     virtual void begin_activity_window() noexcept = 0;
@@ -173,21 +176,25 @@ public:
     std::shared_ptr<const CompiledProgram> program, unsigned chunks);
 
 /// Cycle-level testbench driver around the compiled engine -- the wide
-/// counterpart of BatchClockedSim with the identical control API plus a
-/// chunk axis on the data path.  Lanes = 64 * chunks.
+/// counterpart of BatchClockedSim; both speak the same chunked-sim API
+/// (per-chunk input words, sinks and views).  Lanes = 64 * chunks.
 class CompiledClockedSim {
 public:
-    /// `lanes` in {64, 128, 256, 512}.  Throws std::invalid_argument on
-    /// other widths or when timing coupling is requested.
+    /// `lanes` must satisfy compiled_lane_width().  Throws
+    /// std::invalid_argument on other widths or when timing coupling is
+    /// requested.
     CompiledClockedSim(const netlist::Netlist& nl, const DelayModel& dm,
                        unsigned lanes, ClockConfig clock = {},
                        CouplingConfig coupling = {}, SimOptions options = {});
 
     [[nodiscard]] unsigned chunks() const noexcept { return engine_->chunks(); }
-    [[nodiscard]] unsigned lanes() const noexcept { return chunks() * 64u; }
 
-    void set_enable(netlist::CtrlGroup group, bool enabled);
-    void set_reset(netlist::CtrlGroup group, bool asserted);
+    void set_enable(netlist::CtrlGroup group, bool enabled) {
+        controls_.set_enable(group, enabled);
+    }
+    void set_reset(netlist::CtrlGroup group, bool asserted) {
+        controls_.set_reset(group, asserted);
+    }
 
     /// Per-chunk primary-input change for right after the next edge.
     void set_input_word(NetId input, unsigned chunk, std::uint64_t values);
@@ -202,10 +209,6 @@ public:
     [[nodiscard]] bool value(NetId net, unsigned lane) const {
         return ((engine_->word(net, lane / 64u) >> (lane % 64u)) & 1u) != 0;
     }
-    [[nodiscard]] std::uint64_t pin_word(CellId cell, unsigned pin,
-                                         unsigned chunk) const {
-        return engine_->pin_word(cell, pin, chunk);
-    }
 
     void set_sink(unsigned chunk, BatchToggleSink* sink) {
         engine_->set_sink(chunk, sink);
@@ -214,8 +217,6 @@ public:
         return engine_->chunk_view(chunk);
     }
 
-    [[nodiscard]] std::size_t cycle() const noexcept { return cycle_; }
-    [[nodiscard]] TimePs period() const noexcept { return clock_.period_ps; }
     [[nodiscard]] CompiledEngineBase& engine() noexcept { return *engine_; }
     [[nodiscard]] const CompiledEngineBase& engine() const noexcept {
         return *engine_;
@@ -236,8 +237,7 @@ private:
     ClockConfig clock_;
     std::shared_ptr<const CompiledProgram> program_;
     std::unique_ptr<CompiledEngineBase> engine_;
-    std::vector<std::uint8_t> enable_;
-    std::vector<std::uint8_t> reset_;
+    ControlGroups controls_;
     struct PendingInput {
         NetId net;
         std::uint8_t chunk;  // 0xFF = broadcast

@@ -258,7 +258,7 @@ void expect_clocked_equivalence(Kind kind, bool inertial, double epsilon) {
         std::uint64_t word = 0;
         for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane)
             if (stim[lane][i]) word |= std::uint64_t{1} << lane;
-        batch.set_input_word(inputs[i], word);
+        batch.set_input_word(inputs[i], 0, word);
     }
     run_schedule(batch, has_stage2);
 

@@ -25,6 +25,7 @@
 #include "des/masked_des.hpp"
 #include "eval/campaign.hpp"
 #include "eval/des_experiments.hpp"
+#include "eval/lane_backend.hpp"
 #include "support/atomic_file.hpp"
 #include "support/campaign_error.hpp"
 #include "support/cancel.hpp"
@@ -463,12 +464,15 @@ TEST(CampaignValidation, RejectsDegenerateConfigsNamingTheField) {
         EXPECT_NE(std::string(e.what()).find("lanes"), std::string::npos);
     }
 
-    EXPECT_THROW(validate_campaign_config(0, 64, 0), std::invalid_argument);
-    EXPECT_THROW(validate_campaign_config(10, 0, 0), std::invalid_argument);
-    EXPECT_THROW(validate_campaign_config(10, 64, 2), std::invalid_argument);
-    EXPECT_NO_THROW(validate_campaign_config(10, 64, 0));
-    EXPECT_NO_THROW(validate_campaign_config(10, 64, 1));
-    EXPECT_NO_THROW(validate_campaign_config(10, 64, 64));
+    EXPECT_THROW(validate_campaign_config(0, 64), std::invalid_argument);
+    EXPECT_THROW(validate_campaign_config(10, 0), std::invalid_argument);
+    EXPECT_NO_THROW(validate_campaign_config(10, 64));
+    // Lane widths are checked where the plan is resolved.
+    const CampaignRunOptions run;
+    EXPECT_THROW((void)resolve_backend_plan(run, 2, false), std::invalid_argument);
+    EXPECT_NO_THROW((void)resolve_backend_plan(run, 0, false));
+    EXPECT_NO_THROW((void)resolve_backend_plan(run, 1, false));
+    EXPECT_NO_THROW((void)resolve_backend_plan(run, 64, false));
 }
 
 }  // namespace

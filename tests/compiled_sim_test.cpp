@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "des/masked_des.hpp"
 #include "eval/des_experiments.hpp"
 #include "eval/gadget_tvla.hpp"
+#include "eval/lane_backend.hpp"
 #include "power/batch_power.hpp"
 #include "power/power_model.hpp"
 #include "sim/batch_simulator.hpp"
@@ -385,6 +387,37 @@ TEST(CompiledSim, BackendSwitchOnResumeIsConfigMismatch) {
         EXPECT_EQ(resumed.completed_traces, same.traces);
     }
     std::remove(path.c_str());
+}
+
+TEST(CompiledSim, PlanWidthFollowsTheBlockSize) {
+    // run_campaign cuts lane groups inside blocks, so a compiled pass left
+    // at lanes = 0 is never wider than one block (rounded up to a lane
+    // width): with the default 64-trace blocks it is 64 lanes, not 512.
+    // An explicit width is honoured as given.
+    constexpr std::size_t kDesNets = 3802;
+    eval::CampaignRunOptions run;
+    run.backend = "compiled";
+    const eval::BackendPlan plan =
+        eval::resolve_backend_plan(run, 0, false, kDesNets);  // block 64
+    EXPECT_EQ(plan.backend, eval::SimBackend::Compiled);
+    EXPECT_EQ(plan.lanes, 64u);
+    EXPECT_EQ(eval::resolve_backend_plan(run, 0, false, 0, 100).lanes, 128u);
+    EXPECT_EQ(eval::resolve_backend_plan(run, 0, false, 0, 4096).lanes, 512u);
+    EXPECT_TRUE(sim::compiled_lane_width(
+        eval::resolve_backend_plan(run, 0, false, kDesNets, 4096).lanes));
+    EXPECT_EQ(eval::resolve_backend_plan(run, 512, false, kDesNets, 64).lanes,
+              512u);
+
+    // Lanes = 1 and timing coupling give the scalar path on either backend.
+    EXPECT_TRUE(eval::resolve_backend_plan(run, 1, false).scalar());
+    EXPECT_TRUE(eval::resolve_backend_plan(run, 256, true).scalar());
+    run.backend = "event";
+    EXPECT_EQ(eval::resolve_backend_plan(run, 64, false).lanes, 64u);
+    EXPECT_TRUE(eval::resolve_backend_plan(run, 64, true).scalar());
+    EXPECT_THROW((void)eval::resolve_backend_plan(run, 128, false),
+                 std::invalid_argument);
+    EXPECT_THROW((void)eval::resolve_backend_plan(run, 7, false),
+                 std::invalid_argument);
 }
 
 TEST(CompiledSim, ProgramCacheSharesCompiledPrograms) {

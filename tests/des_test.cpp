@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/gadgets.hpp"
@@ -10,7 +13,9 @@
 #include "des/masked_des.hpp"
 #include "des/masked_sbox.hpp"
 #include "des/sbox_anf.hpp"
+#include "eval/lane_backend.hpp"
 #include "sim/clocked.hpp"
+#include "sim/compiled_simulator.hpp"
 #include "sim/functional.hpp"
 #include "support/rng.hpp"
 
@@ -387,43 +392,80 @@ TEST(MaskedDes, PdCoreMatchesReferenceUnderTiming) {
     EXPECT_EQ(core.encrypt_value(sim, pt, key, &rng), encrypt_block(pt, key));
 }
 
+/// Lane `lane`'s masked ciphertext read straight from a lane sim's words.
+template <class LaneSim>
+MaskedWord lane_ciphertext(const MaskedDesCore& core, const LaneSim& sim,
+                           unsigned lane) {
+    const auto read = [&](const Bus& bus) {
+        std::uint64_t value = 0;
+        for (std::size_t i = 0; i < bus.size(); ++i)
+            if ((sim.word(bus[i], lane / 64u) >> (lane % 64u)) & 1u)
+                value |= std::uint64_t{1} << (bus.size() - 1 - i);
+        return value;
+    };
+    return MaskedWord{read(core.ct_s0()), read(core.ct_s1())};
+}
+
 TEST(MaskedDes, BatchEncryptMatchesScalarPerLane) {
     const MaskedDesCore core(MaskedDesOptions{.flavor = CoreFlavor::FF});
     const sim::DelayModel dm(core.nl(), sim::DelayConfig::spartan6());
     sim::ClockConfig clock;
     clock.period_ps = core.recommended_period();
 
-    constexpr unsigned kCount = 5;
+    // 66 traces: on the 128-lane pass the last two land in chunk 1.
+    constexpr unsigned kTraces = 66;
     std::vector<MaskedWord> pts, keys;
     std::vector<Xoshiro256> prngs;
     Xoshiro256 rng(77);
-    for (unsigned lane = 0; lane < kCount; ++lane) {
+    for (unsigned t = 0; t < kTraces; ++t) {
         pts.push_back(core::mask_word(rng(), 64, rng));
         keys.push_back(core::mask_word(rng(), 64, rng));
         prngs.emplace_back(rng());
     }
 
-    // Scalar references, each lane from a copy of its refresh generator.
+    // Scalar references for the traces compared share by share, each from
+    // a copy of its refresh generator.
+    const std::vector<unsigned> checked = {0, 1, 2, 3, 4, 64, 65};
     sim::ClockedSim scalar(core.nl(), dm, clock);
-    std::vector<MaskedWord> want;
-    for (unsigned lane = 0; lane < kCount; ++lane) {
-        Xoshiro256 prng = prngs[lane];
+    std::vector<MaskedWord> want(kTraces);
+    for (const unsigned t : checked) {
+        Xoshiro256 prng = prngs[t];
         scalar.restart();
-        want.push_back(core.encrypt(scalar, pts[lane], keys[lane], &prng));
+        want[t] = core.encrypt(scalar, pts[t], keys[t], &prng);
     }
 
-    sim::BatchClockedSim batch(core.nl(), dm, clock);
-    batch.restart();
-    const auto got = core.encrypt_batch(batch, pts, keys, prngs);
-    for (unsigned lane = 0; lane < kCount; ++lane) {
-        EXPECT_EQ(got[lane].s0, want[lane].s0) << "lane " << lane;
-        EXPECT_EQ(got[lane].s1, want[lane].s1) << "lane " << lane;
-        EXPECT_EQ(got[lane].value(),
-                  encrypt_block(pts[lane].value(), keys[lane].value()))
-            << "lane " << lane;
-    }
-    // Unused lanes ran the all-zero stimulus with refresh off.
-    EXPECT_EQ(got[kCount].value(), encrypt_block(0, 0));
+    const auto check = [&](auto& lane_sim, unsigned count) {
+        SCOPED_TRACE(std::to_string(lane_sim.chunks() * 64u) + " lanes, " +
+                     std::to_string(count) + " traces");
+        std::vector<Xoshiro256> gens(prngs.begin(), prngs.begin() + count);
+        lane_sim.restart();
+        const std::vector<MaskedWord> got = core.encrypt_batch_chunks(
+            lane_sim, std::span(pts).first(count),
+            std::span(keys).first(count), gens);
+        ASSERT_EQ(got.size(), count);
+        for (unsigned t = 0; t < count; ++t) {
+            EXPECT_EQ(got[t].value(),
+                      encrypt_block(pts[t].value(), keys[t].value()))
+                << "trace " << t;
+            if (std::find(checked.begin(), checked.end(), t) == checked.end())
+                continue;
+            EXPECT_EQ(got[t].s0, want[t].s0) << "trace " << t;
+            EXPECT_EQ(got[t].s1, want[t].s1) << "trace " << t;
+        }
+        // Unused lanes ran the all-zero stimulus with refresh off.
+        const unsigned last = lane_sim.chunks() * 64u - 1u;
+        EXPECT_EQ(lane_ciphertext(core, lane_sim, count).value(),
+                  encrypt_block(0, 0));
+        EXPECT_EQ(lane_ciphertext(core, lane_sim, last).value(),
+                  encrypt_block(0, 0));
+    };
+
+    eval::EventLaneSim event(core.nl(), dm, clock);
+    check(event, 5);
+    sim::CompiledClockedSim compiled64(core.nl(), dm, 64, clock);
+    check(compiled64, 5);
+    sim::CompiledClockedSim compiled128(core.nl(), dm, 128, clock);
+    check(compiled128, kTraces);
 }
 
 TEST(MaskedDes, StructuralCounts) {
