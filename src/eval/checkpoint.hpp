@@ -178,17 +178,8 @@ struct CheckpointPolicy {
     bool discard_corrupt_snapshot = false;
     std::function<void(const char* what, const std::string& detail)>
         on_degraded;
-    /// Parent span for block/checkpoint spans (copied from run options;
-    /// not part of active() -- tracing alone never changes the execution
-    /// path).
+    /// Parent span for block/checkpoint spans (copied from run options).
     std::uint64_t trace_parent = 0;
-
-    /// Anything here that forces the wave-structured (checkpointable)
-    /// execution path instead of the one-shot submit-all path?
-    [[nodiscard]] bool active() const noexcept {
-        return !path.empty() || cancel != nullptr ||
-               static_cast<bool>(on_checkpoint);
-    }
 };
 
 /// Builds the policy for one driver run: resolves the snapshot path from

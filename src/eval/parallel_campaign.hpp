@@ -24,6 +24,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -99,7 +100,8 @@ private:
 
 /// Up-front campaign config validation, shared by every driver: rejects
 /// the degenerate values that would otherwise produce a silent zero-block
-/// plan.  Throws std::invalid_argument with a message naming the field.
+/// plan, and trace/block pairs whose block arithmetic would wrap.  Throws
+/// std::invalid_argument with a message naming the field.
 /// Lane widths are checked by resolve_backend_plan (eval/lane_backend.hpp).
 void validate_campaign_config(std::size_t traces, std::size_t block_size);
 
@@ -169,18 +171,27 @@ struct ShardPlan {
 // checkpoint state, so the checkpoint cadence, the worker count and the
 // interruption point all drop out of the final float result.
 //
+// Blocks stream through that stack.  The calling thread keeps at most
+// W = max(every_blocks, 2 x workers) blocks in flight beyond the folded
+// prefix, folds each completed block as soon as every lower-indexed one
+// is folded, and submits the next block at once: no barrier, and no
+// pool task ever waits.  Out-of-order completions park in a W-slot ring,
+// so at most W block accumulators are alive besides the stack.
+//
 // On top of that the policy adds, without changing a single result bit:
 //
-//   * periodic snapshots: every `every_blocks` completed blocks the
-//     campaign's merge frontier is written atomically to `policy.path`;
+//   * periodic snapshots: each time the folded prefix reaches
+//     start + k x W blocks, and at the last block, the merge frontier is
+//     written atomically to `policy.path` and `on_checkpoint` fires;
 //   * resume: an existing snapshot (fingerprint-checked) seeds the run,
 //     which then continues at the first missing block;
 //   * graceful shutdown: when `policy.cancel` fires, blocks already
-//     running finish, queued blocks are dropped, a final checkpoint is
-//     written and the partial merge is returned (progress->cancelled).
-//
-// When the policy is inactive (no path, no token, no hook) every block
-// runs in a single wave.
+//     running finish, queued blocks are dropped, the contiguous completed
+//     prefix is folded, a final checkpoint is written and the partial
+//     merge is returned (progress->cancelled);
+//   * failure: when a block throws, no further block starts, the running
+//     ones finish, and the first error is rethrown with no further
+//     checkpoint.
 
 template <class MakeWorker, class MakeAcc, class RunBlock, class Merge,
           class EncodeAcc, class DecodeAcc>
@@ -279,7 +290,7 @@ template <class MakeWorker, class MakeAcc, class RunBlock, class Merge,
     auto write_checkpoint = [&](std::size_t completed) {
         if (policy.path.empty() || checkpoints_disabled) return;
         const bool telem = telemetry::enabled();
-        // The wave loop runs on the submitting thread, so the ambient
+        // The fold loop runs on the submitting thread, so the ambient
         // parent (a service execute span, when one is open) is correct.
         const trace::ScopedSpan span(
             "checkpoint", policy.trace_parent,
@@ -337,55 +348,107 @@ template <class MakeWorker, class MakeAcc, class RunBlock, class Merge,
     std::vector<std::optional<Worker>> replicas(pool.size());
     const std::size_t every =
         policy.every_blocks > 0 ? policy.every_blocks : 16;
-    // Waves below 2 blocks/worker would starve the pool; the checkpoint
-    // cadence is rounded up accordingly (durability only, never results).
-    const std::size_t wave_size =
-        policy.active()
-            ? std::max<std::size_t>(every, std::size_t{2} * pool.size())
-            : n_blocks;
+    // At most `window` blocks are in flight beyond the folded prefix.  A
+    // window below 2 blocks/worker would starve the pool, so the
+    // checkpoint cadence is rounded up accordingly (durability only,
+    // never results).
+    const std::size_t window =
+        std::max<std::size_t>(every, std::size_t{2} * pool.size());
 
-    while (next_block < n_blocks) {
-        if (policy.cancel != nullptr && policy.cancel->requested()) {
-            prog.cancelled = true;
-            break;
-        }
-        const std::size_t wave_end =
-            std::min(n_blocks, next_block + wave_size);
-        std::vector<std::optional<Acc>> done(wave_end - next_block);
-        {
-            TaskGroup group(pool, policy.cancel);
-            for (std::size_t b = next_block; b < wave_end; ++b) {
-                group.run([&, b] {
-                    // Chaos site: lets a fault plan stall or kill a worker
-                    // mid-campaign (one relaxed load when no plan is on).
-                    fault::inject_point("campaign.block");
-                    const int id = pool.current_worker();
-                    std::optional<Worker>& slot =
-                        replicas[static_cast<std::size_t>(id)];
-                    if (!slot.has_value()) slot.emplace(make_worker());
-                    const detail::BlockScope scope(policy.trace_parent, b);
-                    Acc acc = make_acc();
-                    const std::size_t begin = plan.block_begin(b);
-                    const std::size_t end = plan.block_end(b);
-                    run_block(*slot, begin, end, acc);
-                    done[b - next_block].emplace(std::move(acc));
-                    scope.done(end - begin, meter);
-                });
-            }
-            group.wait();
-        }
-        // Fold the contiguous completed prefix; a hole means cancellation
-        // skipped a block, and out-of-order completions past it cannot be
-        // kept (the frontier is strictly index-ordered).
-        std::size_t folded = 0;
-        while (folded < done.size() && done[folded].has_value())
-            push_block(std::move(*done[folded++]));
-        next_block += folded;
-        if (folded < done.size()) prog.cancelled = true;
+    // Block b parks in ring slot b % window until the prefix reaches it;
+    // ready[] publishes the slot (release) to the folding thread.
+    std::vector<std::optional<Acc>> parked(window);
+    std::vector<std::atomic<bool>> ready(window);
+    // Tasks claim block indices when they start, not when queued: the
+    // pool pops its own queue LIFO, and index-order claims keep the
+    // prefix moving.  Cancellation skips the unstarted tasks, so claimed
+    // blocks always form a contiguous range.  The claim is acq_rel: the
+    // task that claims block b synchronizes, through the claim chain,
+    // with the submission that let b into the window, which came after
+    // the fold that emptied ring slot b % window.
+    std::atomic<std::size_t> next_claim{next_block};
+    // Set once the loop stops folding: tasks still queued then return
+    // without claiming, so only blocks already running are drained.
+    std::atomic<bool> stopped{false};
+    auto run_next_block = [&] {
+        if (stopped.load(std::memory_order_relaxed)) return;
+        const std::size_t b =
+            next_claim.fetch_add(1, std::memory_order_acq_rel);
+        // Chaos site: lets a fault plan stall or kill a worker
+        // mid-campaign (one relaxed load when no plan is on).
+        fault::inject_point("campaign.block");
+        const int id = pool.current_worker();
+        std::optional<Worker>& slot = replicas[static_cast<std::size_t>(id)];
+        if (!slot.has_value()) slot.emplace(make_worker());
+        const detail::BlockScope scope(policy.trace_parent, b);
+        Acc acc = make_acc();
+        const std::size_t begin = plan.block_begin(b);
+        const std::size_t end = plan.block_end(b);
+        run_block(*slot, begin, end, acc);
+        parked[b % window].emplace(std::move(acc));
+        ready[b % window].store(true, std::memory_order_release);
+        scope.done(end - begin, meter);
+    };
+    auto fold_next = [&] {
+        const std::size_t s = next_block % window;
+        push_block(std::move(*parked[s]));
+        parked[s].reset();
+        ready[s].store(false, std::memory_order_relaxed);
+        ++next_block;
+    };
+    auto cancel_requested = [&] {
+        return policy.cancel != nullptr && policy.cancel->requested();
+    };
+    std::optional<std::size_t> last_checkpoint;
+    auto checkpoint = [&] {
         write_checkpoint(next_block);
         if (policy.on_checkpoint) policy.on_checkpoint(next_block);
-        if (prog.cancelled) break;
+        last_checkpoint = next_block;
+    };
+
+    // Declared after everything its tasks touch: an exception unwinding
+    // through the loop (a failed checkpoint write, a throwing hook)
+    // drains the in-flight blocks before their state is destroyed.
+    TaskGroup group(pool, policy.cancel);
+    if (next_block < n_blocks && !cancel_requested()) {
+        std::size_t submitted = next_block;
+        auto top_up = [&] {
+            const std::size_t limit = std::min(n_blocks, next_block + window);
+            for (; submitted < limit; ++submitted) group.run(run_next_block);
+        };
+        // Checkpoints land every `window` folded blocks from the start
+        // point, and at the last block.
+        std::size_t next_mark = next_block + window;
+        try {
+            top_up();
+            while (next_block < n_blocks &&
+                   group.wait_until([&] {
+                       return ready[next_block % window].load(
+                           std::memory_order_acquire);
+                   })) {
+                fold_next();
+                top_up();
+                if (next_block == next_mark || next_block == n_blocks) {
+                    checkpoint();
+                    next_mark += window;
+                }
+                if (cancel_requested()) break;
+            }
+        } catch (...) {
+            stopped.store(true, std::memory_order_relaxed);
+            throw;
+        }
+        // Finish the running blocks; rethrows the first block failure
+        // with no further checkpoint, so a snapshot never folds past the
+        // failed block.
+        stopped.store(true, std::memory_order_relaxed);
+        group.wait();
+        while (next_block < n_blocks &&
+               ready[next_block % window].load(std::memory_order_acquire))
+            fold_next();
+        if (last_checkpoint != next_block) checkpoint();
     }
+    prog.cancelled = next_block < n_blocks;
 
     prog.completed_blocks = next_block;
     prog.completed_traces =

@@ -313,7 +313,7 @@ RunTelemetrySession::~RunTelemetrySession() {
 }
 
 void RunTelemetrySession::attach(CheckpointPolicy& policy) {
-    // The runner invokes on_checkpoint from the wave loop on the calling
+    // The runner invokes on_checkpoint from the fold loop on the calling
     // thread, so the history vector needs no lock.
     policy.on_checkpoint = [this, chained = std::move(policy.on_checkpoint)](
                                std::size_t completed_blocks) {

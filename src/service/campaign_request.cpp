@@ -1,16 +1,46 @@
 #include "service/campaign_request.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <string_view>
+#include <thread>
 
+#include "eval/parallel_campaign.hpp"
 #include "obs/ledger.hpp"
+#include "sim/compiled_simulator.hpp"
 
 namespace glitchmask::service {
 
 namespace {
 
 constexpr std::string_view kContext = "campaign request";
+
+/// Gadget/sequence replica cap: the paper's campaigns use 16, and every
+/// replica adds a full gadget instance to the netlist each job builds.
+constexpr std::uint64_t kMaxReplicas = 1024;
+
+/// Priority range: wide enough for any scheduling scheme, and checked
+/// before the double leaves JSON (a cast of an out-of-range double to
+/// int is undefined behaviour).
+constexpr double kMaxPriority = 1e6;
+
+/// The value of `member` when it is an integer in [lo, hi]; otherwise a
+/// typed rejection naming the field and the range.  Never clamps.
+std::uint64_t bounded_u64(const json::Member& member, std::uint64_t lo,
+                          std::uint64_t hi) {
+    const std::uint64_t value = member.u64();
+    if (value < lo || value > hi)
+        member.fail("must be in " + std::to_string(lo) + ".." +
+                    std::to_string(hi));
+    return value;
+}
+
+/// Campaign threads per job are capped at the host's hardware threads.
+unsigned max_request_workers() {
+    return std::max(1u, std::thread::hardware_concurrency());
+}
 
 core::InputSequence parse_sequence(const std::string& text) {
     if (text.size() != 4)
@@ -234,27 +264,40 @@ CampaignRequest decode_request(const json::JsonValue& document) {
         if (name == "kind" || name == "op" || name == "id") continue;
         const json::Member member{value, name, kContext};
         if (name == "priority") {
-            request.priority = static_cast<int>(member.number());
+            const double priority = member.number();
+            if (!(priority >= -kMaxPriority && priority <= kMaxPriority) ||
+                priority != std::trunc(priority))
+                member.fail("must be an integer in -1000000..1000000");
+            request.priority = static_cast<int>(priority);
         } else if (name == "traces") {
             request.traces = member.u64();
         } else if (name == "noise_sigma") {
             request.noise_sigma = member.number();
+            if (!std::isfinite(request.noise_sigma) || request.noise_sigma < 0)
+                member.fail("must be a finite number >= 0");
         } else if (name == "seed") {
             request.seed = member.u64();
         } else if (name == "placement_seed") {
             request.placement_seed = member.u64();
         } else if (name == "max_test_order") {
-            request.max_test_order = static_cast<int>(member.u64());
+            request.max_test_order = static_cast<int>(bounded_u64(member, 1, 3));
         } else if (name == "block_size") {
             request.block_size = member.u64();
         } else if (name == "lanes") {
-            request.lanes = static_cast<unsigned>(member.u64());
+            const std::uint64_t lanes = member.u64();
+            if (lanes > 1 &&
+                (lanes > 64 * sim::kMaxLaneChunks ||
+                 !sim::compiled_lane_width(static_cast<unsigned>(lanes))))
+                member.fail("must be 0 (auto), 1, 64, 128, 256 or 512");
+            request.lanes = static_cast<unsigned>(lanes);
         } else if (name == "workers") {
-            request.workers = static_cast<unsigned>(member.u64());
+            request.workers = static_cast<unsigned>(
+                bounded_u64(member, 0, max_request_workers()));
         } else if (name == "sequence") {
             request.sequence = parse_sequence(member.string());
         } else if (name == "replicas") {
-            request.replicas = static_cast<unsigned>(member.u64());
+            request.replicas =
+                static_cast<unsigned>(bounded_u64(member, 1, kMaxReplicas));
         } else if (name == "gadget") {
             const std::optional<eval::GadgetKind> gadget =
                 eval::parse_gadget(member.string());
@@ -274,6 +317,14 @@ CampaignRequest decode_request(const json::JsonValue& document) {
         } else {
             member.fail("is not a known request field");
         }
+    }
+    // The block plan as a whole: zero sizes and trace/block pairs whose
+    // block arithmetic would wrap.
+    try {
+        eval::validate_campaign_config(request.traces, request.block_size);
+    } catch (const std::invalid_argument& error) {
+        throw std::runtime_error(std::string("campaign request: ") +
+                                 error.what());
     }
     return request;
 }

@@ -318,12 +318,7 @@ void BatchClockedSim::step(std::size_t cycles) {
         // 1. Sample the flops with the pin view at the edge.  The drive
         // mask carries exactly the lanes whose Q changes, so each lane
         // sees the same source events as its scalar run.
-        struct Update {
-            NetId net;
-            std::uint64_t values;
-            std::uint64_t lanes;
-        };
-        std::vector<Update> updates;
+        flop_updates_.clear();
         for (const CellId flop : nl_.flops()) {
             const netlist::Cell& cell = nl_.cell(flop);
             std::uint64_t q = engine_.word(flop);
@@ -334,12 +329,12 @@ void BatchClockedSim::step(std::size_t cycles) {
                 q = engine_.pin_word(flop, 0);
             }
             const std::uint64_t changed = q ^ engine_.word(flop);
-            if (changed != 0) updates.push_back({flop, q, changed});
+            if (changed != 0) flop_updates_.push_back({flop, q, changed});
         }
 
         // 2. Launch new Q values and pending input changes after clk-to-Q.
         const TimePs launch = edge + dm_.clk_to_q();
-        for (const Update& update : updates)
+        for (const FlopUpdate& update : flop_updates_)
             engine_.drive(update.net, update.values, update.lanes, launch);
         for (const PendingInput& input : pending_)
             engine_.drive(input.net, input.values, kAllLanes, launch);

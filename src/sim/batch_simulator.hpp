@@ -248,6 +248,12 @@ private:
         std::uint64_t values;
     };
     std::vector<PendingInput> pending_;
+    struct FlopUpdate {
+        NetId net;
+        std::uint64_t values;
+        std::uint64_t lanes;
+    };
+    std::vector<FlopUpdate> flop_updates_;  // step()'s per-edge scratch
     std::size_t cycle_ = 0;
 };
 

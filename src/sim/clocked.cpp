@@ -61,11 +61,7 @@ void ClockedSim::step(std::size_t cycles) {
         engine_.begin_activity_window();
 
         // 1. Sample the flops with the pin view at the edge.
-        struct Update {
-            NetId net;
-            bool value;
-        };
-        std::vector<Update> updates;
+        flop_updates_.clear();
         for (const CellId flop : nl_.flops()) {
             const netlist::Cell& cell = nl_.cell(flop);
             bool q = engine_.value(flop);
@@ -75,12 +71,12 @@ void ClockedSim::step(std::size_t cycles) {
             } else if (controls_.enabled(cell.enable)) {
                 q = engine_.pin_value(flop, 0);
             }
-            if (q != engine_.value(flop)) updates.push_back({flop, q});
+            if (q != engine_.value(flop)) flop_updates_.push_back({flop, q});
         }
 
         // 2. Launch new Q values and pending input changes after clk-to-Q.
         const TimePs launch = edge + dm_.clk_to_q();
-        for (const Update& update : updates)
+        for (const FlopUpdate& update : flop_updates_)
             engine_.drive(update.net, update.value, launch);
         for (const PendingInput& input : pending_)
             engine_.drive(input.net, input.value, launch);

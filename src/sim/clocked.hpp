@@ -110,6 +110,11 @@ private:
         bool value;
     };
     std::vector<PendingInput> pending_;
+    struct FlopUpdate {
+        NetId net;
+        bool value;
+    };
+    std::vector<FlopUpdate> flop_updates_;  // step()'s per-edge scratch
     std::size_t cycle_ = 0;
 };
 

@@ -144,7 +144,8 @@ void TaskGroup::run(ThreadPool::Task task) {
         const std::lock_guard<std::mutex> lock(mutex_);
         if (skip) ++skipped_;
         if (error != nullptr && error_ == nullptr) error_ = error;
-        if (--pending_ == 0) done_.notify_all();
+        --pending_;
+        done_.notify_all();  // wait_until() watches every settle
     });
 }
 

@@ -101,6 +101,23 @@ public:
     /// Blocks until every run() task finished; rethrows the first failure.
     void wait();
 
+    /// Blocks until `ready()` holds, a task has failed, or every run()
+    /// task has settled (finished, failed or been skipped).  Returns true
+    /// only when `ready()` holds and no task has failed; a failure stays
+    /// queued for wait() to rethrow.  `ready` is re-checked under the
+    /// group's lock each time a task settles, so it must read what tasks
+    /// publish through its own synchronization (e.g. release/acquire
+    /// atomics).  Lets a caller consume results as they land instead of
+    /// only after the whole batch.
+    template <class Ready>
+    [[nodiscard]] bool wait_until(Ready ready) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        done_.wait(lock, [&] {
+            return error_ != nullptr || pending_ == 0 || ready();
+        });
+        return error_ == nullptr && ready();
+    }
+
     /// Tasks skipped because the cancel token fired before they started.
     /// Only meaningful after wait() returned.
     [[nodiscard]] std::size_t skipped() const noexcept { return skipped_; }

@@ -19,6 +19,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -299,7 +300,7 @@ TEST(CampaignResume, MeanPowerTraceCheckpointAndResume) {
     const std::string path = temp_snapshot("mean_power.gmsnap");
 
     const std::vector<double> baseline =
-        mean_power_trace(core, /*traces=*/192, /*seed=*/5);
+        mean_power_trace(core, /*traces=*/320, /*seed=*/5);
 
     CancelToken token;
     CampaignRunOptions run;
@@ -310,19 +311,21 @@ TEST(CampaignResume, MeanPowerTraceCheckpointAndResume) {
         if (completed_blocks >= 1) token.request();
     };
     CampaignProgress progress;
-    // workers=1 keeps the wave at 2 blocks, so the cancel lands mid-run
-    // (192 traces = 3 blocks of 64).
+    // workers=1 keeps the window at 2 blocks: the cancel lands at the
+    // first checkpoint (2 blocks), the at most 2 blocks then in flight
+    // finish and fold, and the run still stops short of its 5 blocks of
+    // 64 traces.
     const std::vector<double> partial =
-        mean_power_trace(core, 192, 5, 1, /*workers=*/1, 0, run, &progress);
+        mean_power_trace(core, 320, 5, 1, /*workers=*/1, 0, run, &progress);
     EXPECT_TRUE(progress.cancelled);
-    EXPECT_LT(progress.completed_traces, 192u);
+    EXPECT_LT(progress.completed_traces, 320u);
     EXPECT_EQ(partial.size(), baseline.size());  // still a full-width trace
 
     CampaignRunOptions resume;
     resume.checkpoint_path = path;
     CampaignProgress resumed_progress;
     const std::vector<double> resumed =
-        mean_power_trace(core, 192, 5, 1, 2, 0, resume, &resumed_progress);
+        mean_power_trace(core, 320, 5, 1, 2, 0, resume, &resumed_progress);
     EXPECT_TRUE(resumed_progress.resumed);
     ASSERT_EQ(resumed.size(), baseline.size());
     for (std::size_t i = 0; i < baseline.size(); ++i)
@@ -467,6 +470,12 @@ TEST(CampaignValidation, RejectsDegenerateConfigsNamingTheField) {
     EXPECT_THROW(validate_campaign_config(0, 64), std::invalid_argument);
     EXPECT_THROW(validate_campaign_config(10, 0), std::invalid_argument);
     EXPECT_NO_THROW(validate_campaign_config(10, 64));
+    // Pairs whose block arithmetic (traces + block_size - 1) would wrap.
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    EXPECT_THROW(validate_campaign_config(2, kMax), std::invalid_argument);
+    EXPECT_THROW(validate_campaign_config(kMax, 2), std::invalid_argument);
+    EXPECT_NO_THROW(validate_campaign_config(1, kMax));
+    EXPECT_NO_THROW(validate_campaign_config(kMax, 1));
     // Lane widths are checked where the plan is resolved.
     const CampaignRunOptions run;
     EXPECT_THROW((void)resolve_backend_plan(run, 2, false), std::invalid_argument);

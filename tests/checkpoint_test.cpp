@@ -293,18 +293,20 @@ TEST(CheckpointPolicyTest, EnvironmentDirectoryNamesFileByCampaignId) {
     ::unsetenv("GLITCHMASK_CHECKPOINT_DIR");
 }
 
-TEST(CheckpointPolicyTest, InactiveWithoutPathTokenOrHook) {
+TEST(CheckpointPolicyTest, DefaultCadenceAndExplicitOverride) {
     ::unsetenv("GLITCHMASK_CHECKPOINT_DIR");
     const CheckpointPolicy off =
         make_checkpoint_policy(CampaignRunOptions{}, "x");
-    EXPECT_FALSE(off.active());
+    EXPECT_TRUE(off.path.empty());
+    EXPECT_EQ(off.cancel, nullptr);
+    EXPECT_FALSE(off.on_checkpoint);
     EXPECT_EQ(off.every_blocks, 16u);  // default cadence
 
     CampaignRunOptions with_cadence;
     with_cadence.checkpoint_every = 4;
     with_cadence.checkpoint_path = "/tmp/y.gmsnap";
     const CheckpointPolicy on = make_checkpoint_policy(with_cadence, "x");
-    EXPECT_TRUE(on.active());
+    EXPECT_EQ(on.path, "/tmp/y.gmsnap");
     EXPECT_EQ(on.every_blocks, 4u);
 }
 

@@ -7,12 +7,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <chrono>
+#include <cstdio>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "des/masked_des.hpp"
 #include "eval/campaign.hpp"
 #include "eval/des_experiments.hpp"
 #include "eval/parallel_campaign.hpp"
+#include "support/atomic_file.hpp"
 
 namespace glitchmask::eval {
 namespace {
@@ -198,6 +209,266 @@ TEST(ParallelCampaign, BlockSizeIsPartOfTheResultIdentity) {
         EXPECT_NEAR(a.max_abs_t[order], b.max_abs_t[order],
                     1e-6 * std::max(1.0, a.max_abs_t[order]))
             << "order " << order;
+}
+
+// ----- the streaming runner ---------------------------------------------
+//
+// run_sharded_blocks_checkpointed driven directly with a synthetic
+// accumulator that records the exact merge tree: a postfix transcript of
+// block indices and merge nodes.  Two results are == only when the same
+// blocks were merged in the same shape, so the tests below pin the fold
+// order, not merely the multiset of blocks.
+
+constexpr std::uint64_t kMergeNode = std::numeric_limits<std::uint64_t>::max();
+
+/// Accumulators alive at once (moved-from ones hold no token).
+struct LiveCount {
+    std::atomic<int> now{0};
+    std::atomic<int> peak{0};
+};
+
+struct LiveToken {
+    explicit LiveToken(LiveCount& count) : count_(count) {
+        const int n = count_.now.fetch_add(1) + 1;
+        int seen = count_.peak.load();
+        while (n > seen && !count_.peak.compare_exchange_weak(seen, n)) {
+        }
+    }
+    ~LiveToken() { count_.now.fetch_sub(1); }
+    LiveToken(const LiveToken&) = delete;
+    LiveToken& operator=(const LiveToken&) = delete;
+
+private:
+    LiveCount& count_;
+};
+
+struct TreeAcc {
+    std::vector<std::uint64_t> postfix;
+    std::unique_ptr<LiveToken> live;
+};
+
+/// The fixed pairwise tree the runner promises: round 1 merges
+/// (0,1)(2,3)..., round 2 merges (0,2)(4,6)..., and so on.
+std::vector<std::uint64_t> reference_tree(std::size_t blocks) {
+    std::vector<std::vector<std::uint64_t>> nodes(blocks);
+    for (std::size_t b = 0; b < blocks; ++b) nodes[b] = {b};
+    for (std::size_t step = 1; step < blocks; step *= 2)
+        for (std::size_t i = 0; i + step < blocks; i += 2 * step) {
+            nodes[i].insert(nodes[i].end(), nodes[i + step].begin(),
+                            nodes[i + step].end());
+            nodes[i].push_back(kMergeNode);
+        }
+    return nodes[0];
+}
+
+struct StreamRun {
+    std::vector<std::uint64_t> tree;
+    CampaignProgress progress;
+    std::vector<std::size_t> checkpoints;
+};
+
+/// Runs `blocks` one-trace blocks on `workers` threads.  `on_block` runs
+/// inside run_block (delays, throws, cancels); `hook` chains behind the
+/// checkpoint recorder.
+StreamRun run_stream(std::size_t blocks, unsigned workers,
+                     CheckpointPolicy policy,
+                     const std::function<void(std::size_t)>& on_block = {},
+                     LiveCount* live = nullptr) {
+    LiveCount unused;
+    LiveCount& count = live != nullptr ? *live : unused;
+    ThreadPool pool(workers);
+    StreamRun out;
+    auto hook = std::move(policy.on_checkpoint);
+    policy.on_checkpoint = [&](std::size_t completed) {
+        out.checkpoints.push_back(completed);
+        if (hook) hook(completed);
+    };
+    auto make_acc = [&] {
+        return TreeAcc{{}, std::make_unique<LiveToken>(count)};
+    };
+    const CampaignFingerprint fingerprint{1, 2, blocks, 1, 3};
+    TreeAcc merged = run_sharded_blocks_checkpointed(
+        pool, ShardPlan{blocks, 1}, [] { return 0; }, make_acc,
+        [&](int&, std::size_t begin, std::size_t, TreeAcc& acc) {
+            if (on_block) on_block(begin);
+            acc.postfix.push_back(begin);
+        },
+        [](TreeAcc& into, const TreeAcc& from) {
+            into.postfix.insert(into.postfix.end(), from.postfix.begin(),
+                                from.postfix.end());
+            into.postfix.push_back(kMergeNode);
+        },
+        policy, fingerprint,
+        [](const TreeAcc& acc, SnapshotWriter& w) {
+            w.u64(acc.postfix.size());
+            for (const std::uint64_t token : acc.postfix) w.u64(token);
+        },
+        [&](SnapshotReader& in) {
+            TreeAcc acc = make_acc();
+            acc.postfix.resize(in.u64());
+            for (std::uint64_t& token : acc.postfix) token = in.u64();
+            return acc;
+        },
+        &out.progress);
+    out.tree = std::move(merged.postfix);
+    return out;
+}
+
+/// Low-index blocks run longest, so later blocks finish first and must
+/// wait in the ring for the prefix.
+void slow_low_blocks(std::size_t block) {
+    if (block < 3)
+        std::this_thread::sleep_for(std::chrono::milliseconds(20 - 5 * block));
+}
+
+std::string snapshot_file(const std::string& name) {
+    const std::string path = ::testing::TempDir() + "glitchmask_stream_" + name;
+    std::remove(path.c_str());
+    return path;
+}
+
+std::uint64_t snapshot_blocks(const std::string& path) {
+    const auto bytes = read_file_if_exists(path);
+    if (!bytes) return 0;
+    SnapshotReader in(*bytes);
+    return read_checkpoint_header(in).completed_blocks;
+}
+
+TEST(StreamingRunner, OutOfOrderCompletionsFoldTheFixedTree) {
+    for (const std::size_t blocks : {1u, 7u, 33u}) {
+        const std::vector<std::uint64_t> expected = reference_tree(blocks);
+        for (unsigned workers = 1; workers <= 4; ++workers) {
+            CheckpointPolicy policy;
+            policy.every_blocks = 4;
+            const StreamRun run =
+                run_stream(blocks, workers, policy, slow_low_blocks);
+            EXPECT_EQ(run.tree, expected)
+                << blocks << " blocks, " << workers << " workers";
+            EXPECT_FALSE(run.progress.cancelled);
+            EXPECT_EQ(run.progress.completed_blocks, blocks);
+        }
+    }
+}
+
+TEST(StreamingRunner, CheckpointsLandWhereWavesEnded) {
+    // 10 blocks at every_blocks = 3: one worker gives a window of 3
+    // blocks, two workers a window of 2 x 2 = 4.
+    CheckpointPolicy policy;
+    policy.every_blocks = 3;
+    EXPECT_EQ(run_stream(10, 1, policy, slow_low_blocks).checkpoints,
+              (std::vector<std::size_t>{3, 6, 9, 10}));
+    EXPECT_EQ(run_stream(10, 2, policy, slow_low_blocks).checkpoints,
+              (std::vector<std::size_t>{4, 8, 10}));
+
+    // Resumed mid-run: a hook that throws at the first checkpoint leaves
+    // exactly a 3-block snapshot; the resumed run counts its windows from
+    // there.
+    const std::string path = snapshot_file("marks.gmsnap");
+    CheckpointPolicy first = policy;
+    first.path = path;
+    first.on_checkpoint = [](std::size_t) {
+        throw std::runtime_error("stop after the first checkpoint");
+    };
+    EXPECT_THROW((void)run_stream(10, 1, first, slow_low_blocks),
+                 std::runtime_error);
+    ASSERT_EQ(snapshot_blocks(path), 3u);
+
+    CheckpointPolicy resume = policy;
+    resume.path = path;
+    const StreamRun resumed = run_stream(10, 2, resume, slow_low_blocks);
+    EXPECT_TRUE(resumed.progress.resumed);
+    EXPECT_EQ(resumed.checkpoints, (std::vector<std::size_t>{7, 10}));
+    EXPECT_EQ(resumed.tree, reference_tree(10));
+    std::remove(path.c_str());
+}
+
+TEST(StreamingRunner, ThrowingBlockSurfacesWithoutFoldingPastIt) {
+    constexpr std::size_t kBad = 5;
+    for (unsigned workers = 1; workers <= 4; ++workers) {
+        const std::string path = snapshot_file("throw.gmsnap");
+        CheckpointPolicy policy;
+        policy.path = path;
+        policy.every_blocks = 1;
+        std::vector<std::size_t> seen;
+        policy.on_checkpoint = [&](std::size_t completed) {
+            seen.push_back(completed);
+        };
+        try {
+            (void)run_stream(16, workers, policy, [](std::size_t block) {
+                slow_low_blocks(block);
+                if (block == kBad) throw std::runtime_error("block 5 failed");
+            });
+            FAIL() << "the failing block was swallowed, workers=" << workers;
+        } catch (const std::runtime_error& error) {
+            EXPECT_EQ(std::string(error.what()), "block 5 failed");
+        }
+        for (const std::size_t completed : seen)
+            EXPECT_LE(completed, kBad) << "workers=" << workers;
+        EXPECT_LE(snapshot_blocks(path), kBad) << "workers=" << workers;
+        std::remove(path.c_str());
+    }
+}
+
+TEST(StreamingRunner, CancelThenResumeMatchesUninterruptedRun) {
+    constexpr std::size_t kBlocks = 24;
+    const std::vector<std::uint64_t> expected = reference_tree(kBlocks);
+    for (unsigned workers = 1; workers <= 4; ++workers) {
+        // Cancelled from the checkpoint hook, and from inside a running
+        // block (the way a watchdog or a signal lands mid-block).
+        for (const bool from_hook : {true, false}) {
+            SCOPED_TRACE("workers=" + std::to_string(workers) +
+                         (from_hook ? " hook" : " block"));
+            const std::string path = snapshot_file("cancel.gmsnap");
+            CancelToken token;
+            CheckpointPolicy policy;
+            policy.path = path;
+            policy.every_blocks = 2;
+            policy.cancel = &token;
+            if (from_hook)
+                policy.on_checkpoint = [&token](std::size_t completed) {
+                    if (completed >= 4) token.request();
+                };
+            const StreamRun partial =
+                run_stream(kBlocks, workers, policy, [&](std::size_t block) {
+                    slow_low_blocks(block);
+                    if (!from_hook && block == 6) token.request();
+                });
+            EXPECT_TRUE(partial.progress.cancelled);
+            EXPECT_LT(partial.progress.completed_blocks, kBlocks);
+            ASSERT_FALSE(partial.checkpoints.empty());
+            EXPECT_EQ(partial.checkpoints.back(),
+                      partial.progress.completed_blocks);
+            EXPECT_EQ(snapshot_blocks(path), partial.progress.completed_blocks);
+
+            CheckpointPolicy resume;
+            resume.path = path;
+            resume.every_blocks = 2;
+            const StreamRun resumed = run_stream(kBlocks, workers, resume);
+            EXPECT_TRUE(resumed.progress.resumed);
+            EXPECT_FALSE(resumed.progress.cancelled);
+            EXPECT_EQ(resumed.tree, expected);
+            std::remove(path.c_str());
+        }
+    }
+}
+
+TEST(StreamingRunner, AtMostOneWindowOfBlockAccumulatorsIsAlive) {
+    // Besides the merge frontier (at most bit_width(blocks) entries), no
+    // more than the window's W block accumulators may exist at once.
+    constexpr std::size_t kBlocks = 40;
+    for (unsigned workers = 1; workers <= 4; ++workers) {
+        CheckpointPolicy policy;
+        policy.every_blocks = 4;
+        const std::size_t window = std::max<std::size_t>(4, 2 * workers);
+        LiveCount live;
+        const StreamRun run =
+            run_stream(kBlocks, workers, policy, slow_low_blocks, &live);
+        EXPECT_EQ(run.tree, reference_tree(kBlocks));
+        EXPECT_LE(static_cast<std::size_t>(live.peak.load()),
+                  window + std::bit_width(kBlocks))
+            << "workers=" << workers;
+        EXPECT_EQ(live.now.load(), 0);
+    }
 }
 
 }  // namespace

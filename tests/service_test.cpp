@@ -9,12 +9,14 @@
 // fault-free direct driver run -- not "approximately recovered", equal.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -176,6 +178,51 @@ TEST(CampaignRequestCodec, RejectsMalformedRequests) {
                  std::runtime_error);
     EXPECT_THROW((void)decode("{\"kind\":\"des_tvla\",\"traces\":-5}"),
                  std::runtime_error);
+}
+
+TEST(CampaignRequestCodec, RejectsOutOfRangeFieldsNamingThem) {
+    // Decoding only: no test here may start a pool with the values it
+    // rejects.
+    const auto rejects = [](const std::string& members, const char* field) {
+        const std::string text = "{\"kind\":\"gadget_tvla\"," + members + "}";
+        try {
+            (void)decode_request(eval::parse_json(text));
+            ADD_FAILURE() << "accepted " << text;
+        } catch (const std::runtime_error& error) {
+            EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+                << error.what();
+        }
+    };
+    const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+    rejects("\"workers\":" + std::to_string(hardware + 1), "workers");
+    rejects("\"workers\":4294967297", "workers");  // 2^32 + 1 truncates to 1
+    rejects("\"replicas\":0", "replicas");
+    rejects("\"replicas\":1025", "replicas");
+    rejects("\"replicas\":4294967312", "replicas");
+    rejects("\"priority\":1e300", "priority");
+    rejects("\"priority\":-2147483649", "priority");
+    rejects("\"priority\":2.5", "priority");
+    rejects("\"noise_sigma\":-1", "noise_sigma");
+    rejects("\"max_test_order\":0", "max_test_order");
+    rejects("\"max_test_order\":4294967298", "max_test_order");
+    rejects("\"lanes\":3", "lanes");
+    rejects("\"lanes\":4294967360", "lanes");  // 2^32 + 64 truncates to 64
+    rejects("\"traces\":0", "traces");
+    rejects("\"block_size\":0", "block_size");
+    rejects("\"traces\":2,\"block_size\":18446744073709551615", "block_size");
+    rejects("\"traces\":18446744073709551615,\"block_size\":2", "block_size");
+
+    const CampaignRequest edge = decode_request(eval::parse_json(
+        "{\"kind\":\"gadget_tvla\",\"workers\":" + std::to_string(hardware) +
+        ",\"replicas\":1024,\"priority\":-1000000,\"max_test_order\":3,"
+        "\"lanes\":512,\"noise_sigma\":0,\"traces\":1,"
+        "\"block_size\":18446744073709551615}"));
+    EXPECT_EQ(edge.workers, hardware);
+    EXPECT_EQ(edge.replicas, 1024u);
+    EXPECT_EQ(edge.priority, -1000000);
+    EXPECT_EQ(edge.max_test_order, 3);
+    EXPECT_EQ(edge.lanes, 512u);
+    EXPECT_EQ(edge.block_size, std::numeric_limits<std::size_t>::max());
 }
 
 TEST(CampaignRequestCodec, FingerprintIsWorkerAndLaneInvariant) {
