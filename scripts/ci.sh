@@ -11,9 +11,10 @@
 #
 # The release and asan legs smoke per-net leakage attribution end to end
 # (examples/inspect_gadget trichina --attribute) and rerun the suite with
-# GLITCHMASK_BACKEND=compiled, so every campaign-level test also covers
-# the compiled replay engine (memory bugs in its wide-lane state would
-# otherwise only surface in benches).  Both legs also run the daemon
+# GLITCHMASK_BACKEND=event, so every campaign-level test also covers the
+# bitsliced event engine, which the compiled default otherwise leaves to
+# the few tests that pin it (memory bugs in its lane state would only
+# surface in benches).  Both legs also run the daemon
 # chaos smoke (scripts/chaos_smoke.sh): glitchmaskd under seeded
 # fault-injection schedules -- EINTR storms, checkpoint ENOSPC, SIGTERM
 # mid-campaign -- must complete bit-identically, degrade gracefully, and
@@ -92,11 +93,11 @@ for preset in "${presets[@]}"; do
     "$builddir"/src/glitchmask_ledger list "$ledger" > /dev/null
     rm -rf "$report_dir"
 
-    # Configs that leave lanes open get a compiled pass no wider than a
-    # block, so at the default 64-trace blocks this leg runs 64-lane
-    # passes; the tests that set lanes explicitly cover 128/256/512.
-    echo "==> $preset extras: suite under GLITCHMASK_BACKEND=compiled"
-    GLITCHMASK_BACKEND=compiled ctest --preset "$preset" -j "$jobs"
+    # The event backend serves 64 lanes, so this pass runs every lane-path
+    # campaign that does not pin a backend on the bitsliced engine; the
+    # plain pass above already covered the compiled default.
+    echo "==> $preset extras: suite under GLITCHMASK_BACKEND=event"
+    GLITCHMASK_BACKEND=event ctest --preset "$preset" -j "$jobs"
 
     echo "==> $preset extras: daemon chaos smoke (seeded fault sweep)"
     scripts/chaos_smoke.sh "$builddir"

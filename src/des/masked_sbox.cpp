@@ -18,38 +18,39 @@ using netlist::DelayChain;
 
 /// Variable indices (1..4 for x1..x4) selected by a monomial mask,
 /// ascending.  Mask bit 3 selects x1 (b4) down to bit 0 selecting x4.
-std::vector<unsigned> monomial_vars(std::uint8_t mask) {
-    std::vector<unsigned> vars;
+struct MonomialVars {
+    std::array<unsigned, 4> var{};
+    unsigned count = 0;
+};
+MonomialVars monomial_vars(std::uint8_t mask) {
+    MonomialVars vars;
     for (int bit = 3; bit >= 0; --bit)
-        if ((mask >> bit) & 1u) vars.push_back(4 - static_cast<unsigned>(bit));
+        if ((mask >> bit) & 1u)
+            vars.var[vars.count++] = 4 - static_cast<unsigned>(bit);
     return vars;
 }
 
-/// XOR-stage recombination of one mini S-box coordinate.
-SharedNet mini_coordinate(Netlist& nl, const MiniSboxAnf& anf, unsigned bit,
-                          const SharedBus& x,
+/// XOR-stage recombination of one mini S-box coordinate; `terms` is its
+/// ANF coefficient set (mini_sbox_anf_bits).
+SharedNet mini_coordinate(Netlist& nl, std::uint16_t terms, const SharedBus& x,
                           const std::array<SharedNet, 10>& products) {
-    std::vector<NetId> s0;
-    std::vector<NetId> s1;
-    bool constant = false;
-    for (const std::uint8_t mask : anf.terms[bit]) {
-        if (mask == 0) {
-            constant = true;
-            continue;
-        }
-        if (std::popcount(mask) == 1) {
-            const unsigned var = monomial_vars(mask).front();
-            s0.push_back(x[var].s0);
-            s1.push_back(x[var].s1);
-        } else {
-            const SharedNet& p = products[product_monomial_index(mask)];
-            s0.push_back(p.s0);
-            s1.push_back(p.s1);
-        }
+    std::array<NetId, 16> s0;
+    std::array<NetId, 16> s1;
+    std::size_t n = 0;
+    for (unsigned mask = 1; mask < 16; ++mask) {
+        if (((terms >> mask) & 1u) == 0) continue;
+        const SharedNet& term =
+            std::popcount(mask) == 1
+                ? x[monomial_vars(static_cast<std::uint8_t>(mask)).var[0]]
+                : products[product_monomial_index(
+                      static_cast<std::uint8_t>(mask))];
+        s0[n] = term.s0;
+        s1[n] = term.s1;
+        ++n;
     }
-    NetId out0 = netlist::xor_reduce(nl, s0);
-    const NetId out1 = netlist::xor_reduce(nl, s1);
-    if (constant) out0 = nl.inv(out0);
+    NetId out0 = netlist::xor_reduce(nl, std::span(s0).first(n));
+    const NetId out1 = netlist::xor_reduce(nl, std::span(s1).first(n));
+    if ((terms & 1u) != 0) out0 = nl.inv(out0);  // the constant-1 term
     return SharedNet{out0, out1};
 }
 
@@ -60,9 +61,9 @@ std::array<std::array<SharedNet, 4>, 4> mini_xor_stage(
     std::array<std::array<SharedNet, 4>, 4> out{};
     for (unsigned row = 0; row < 4; ++row) {
         Netlist::Scope scope(nl, "mini" + std::to_string(row));
-        const MiniSboxAnf anf = mini_sbox_anf(box, row);
+        const std::array<std::uint16_t, 4> anf = mini_sbox_anf_bits(box, row);
         for (unsigned bit = 0; bit < 4; ++bit)
-            out[row][bit] = mini_coordinate(nl, anf, bit, x, products);
+            out[row][bit] = mini_coordinate(nl, anf[bit], x, products);
     }
     return out;
 }
@@ -141,10 +142,10 @@ SharedBus build_masked_sbox_ff(Netlist& nl, unsigned box, const SharedBus& in,
     std::array<SharedNet, 10> pair_products{};  // by monomial index
     for (const std::uint8_t mask : all_product_monomials()) {
         const std::size_t index = product_monomial_index(mask);
-        const std::vector<unsigned> vars = monomial_vars(mask);
-        if (vars.size() == 2) {
-            const SharedNet y{x[vars[1]].s0, y1_layer1[vars[1]]};
-            products[index] = secand2(nl, x[vars[0]], y,
+        const MonomialVars vars = monomial_vars(mask);
+        if (vars.count == 2) {
+            const SharedNet y{x[vars.var[1]].s0, y1_layer1[vars.var[1]]};
+            products[index] = secand2(nl, x[vars.var[0]], y,
                                       "pair" + std::to_string(index));
             pair_products[index] = products[index];
         } else {
@@ -152,7 +153,7 @@ SharedBus build_masked_sbox_ff(Netlist& nl, unsigned box, const SharedBus& in,
                 static_cast<std::uint8_t>(mask & (mask - 1));  // drop lowest bit
             const SharedNet pair =
                 pair_products[product_monomial_index(pair_mask)];
-            const unsigned last = vars[2];
+            const unsigned last = vars.var[2];
             const SharedNet y{x[last].s0, y1_layer2[last]};
             products[index] =
                 secand2(nl, pair, y, "triple" + std::to_string(index));
@@ -193,8 +194,8 @@ SharedBus build_masked_sbox_ff(Netlist& nl, unsigned box, const SharedBus& in,
     // in g_mux2; stage 3: XOR recombination; output register.
     SharedBus out(4);
     for (unsigned bit = 0; bit < 4; ++bit) {
-        std::vector<NetId> s0;
-        std::vector<NetId> s1;
+        std::array<NetId, 4> s0;
+        std::array<NetId, 4> s1;
         for (unsigned row = 0; row < 4; ++row) {
             const SharedNet& m = mini[row][bit];
             const NetId m1_ff =
@@ -203,8 +204,8 @@ SharedBus build_masked_sbox_ff(Netlist& nl, unsigned box, const SharedBus& in,
             const SharedNet product =
                 secand2(nl, sel[row], SharedNet{m.s0, m1_ff},
                         "mux2_r" + std::to_string(row) + "b" + std::to_string(bit));
-            s0.push_back(product.s0);
-            s1.push_back(product.s1);
+            s0[row] = product.s0;
+            s1[row] = product.s1;
         }
         const SharedNet combined{netlist::xor_reduce(nl, s0),
                                  netlist::xor_reduce(nl, s1)};
@@ -247,10 +248,10 @@ SharedBus build_masked_sbox_pd(Netlist& nl, unsigned box, const SharedBus& in,
     std::array<SharedNet, 10> pair_products{};
     for (const std::uint8_t mask : all_product_monomials()) {
         const std::size_t index = product_monomial_index(mask);
-        const std::vector<unsigned> vars = monomial_vars(mask);
-        if (vars.size() == 2) {
-            products[index] = secand2(nl, delayed_var(vars[0]),
-                                      delayed_var(vars[1]),
+        const MonomialVars vars = monomial_vars(mask);
+        if (vars.count == 2) {
+            products[index] = secand2(nl, delayed_var(vars.var[0]),
+                                      delayed_var(vars.var[1]),
                                       "pair" + std::to_string(index));
             pair_products[index] = products[index];
         } else {
@@ -258,7 +259,7 @@ SharedBus build_masked_sbox_pd(Netlist& nl, unsigned box, const SharedBus& in,
                 static_cast<std::uint8_t>(mask & (mask - 1));
             const SharedNet pair =
                 pair_products[product_monomial_index(pair_mask)];
-            products[index] = secand2(nl, pair, delayed_var(vars[2]),
+            products[index] = secand2(nl, pair, delayed_var(vars.var[2]),
                                       "triple" + std::to_string(index));
         }
     }
@@ -313,8 +314,8 @@ SharedBus build_masked_sbox_pd(Netlist& nl, unsigned box, const SharedBus& in,
 
     SharedBus out(4);
     for (unsigned bit = 0; bit < 4; ++bit) {
-        std::vector<NetId> s0;
-        std::vector<NetId> s1;
+        std::array<NetId, 4> s0;
+        std::array<NetId, 4> s1;
         for (unsigned row = 0; row < 4; ++row) {
             const SharedNet& m = mini_reg[row][bit];
             stage2_taps.emplace_back(&nl, m.s1, options.luts_per_unit,
@@ -324,8 +325,8 @@ SharedBus build_masked_sbox_pd(Netlist& nl, unsigned box, const SharedBus& in,
             const SharedNet product =
                 secand2(nl, sel_delayed[row], y,
                         "mux2_r" + std::to_string(row) + "b" + std::to_string(bit));
-            s0.push_back(product.s0);
-            s1.push_back(product.s1);
+            s0[row] = product.s0;
+            s1[row] = product.s1;
         }
         out[bit] = SharedNet{netlist::xor_reduce(nl, s0),
                              netlist::xor_reduce(nl, s1)};
@@ -362,11 +363,12 @@ SharedBus build_masked_sbox_dom(Netlist& nl, unsigned box, const SharedBus& in,
     std::array<SharedNet, 10> pair_products{};
     for (const std::uint8_t mask : all_product_monomials()) {
         const std::size_t index = product_monomial_index(mask);
-        const std::vector<unsigned> vars = monomial_vars(mask);
-        if (vars.size() == 2) {
+        const MonomialVars vars = monomial_vars(mask);
+        if (vars.count == 2) {
             products[index] =
-                core::dom_and_indep(nl, x[vars[0]], x[vars[1]], rand[index],
-                                    groups.g_dom1, "pair" + std::to_string(index));
+                core::dom_and_indep(nl, x[vars.var[0]], x[vars.var[1]],
+                                    rand[index], groups.g_dom1,
+                                    "pair" + std::to_string(index));
             pair_products[index] = products[index];
         } else {
             const std::uint8_t pair_mask =
@@ -374,7 +376,7 @@ SharedBus build_masked_sbox_dom(Netlist& nl, unsigned box, const SharedBus& in,
             const SharedNet pair =
                 pair_products[product_monomial_index(pair_mask)];
             products[index] =
-                core::dom_and_indep(nl, pair, x[vars[2]], rand[index],
+                core::dom_and_indep(nl, pair, x[vars.var[2]], rand[index],
                                     groups.g_dom2, "triple" + std::to_string(index));
         }
     }
@@ -396,15 +398,15 @@ SharedBus build_masked_sbox_dom(Netlist& nl, unsigned box, const SharedBus& in,
     // MUX stage 2 + 3.
     SharedBus out(4);
     for (unsigned bit = 0; bit < 4; ++bit) {
-        std::vector<NetId> s0;
-        std::vector<NetId> s1;
+        std::array<NetId, 4> s0;
+        std::array<NetId, 4> s1;
         for (unsigned row = 0; row < 4; ++row) {
             const SharedNet product = core::dom_and_indep(
                 nl, sel[row], mini[row][bit], rand[14 + row * 4 + bit],
                 groups.g_dom3,
                 "mux2_r" + std::to_string(row) + "b" + std::to_string(bit));
-            s0.push_back(product.s0);
-            s1.push_back(product.s1);
+            s0[row] = product.s0;
+            s1[row] = product.s1;
         }
         const SharedNet combined{netlist::xor_reduce(nl, s0),
                                  netlist::xor_reduce(nl, s1)};

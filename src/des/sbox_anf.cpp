@@ -16,8 +16,8 @@ constexpr std::array<std::uint8_t, 10> kProductMonomials = {
 
 }  // namespace
 
-MiniSboxAnf mini_sbox_anf(unsigned box, unsigned row) {
-    MiniSboxAnf anf;
+std::array<std::uint16_t, 4> mini_sbox_anf_bits(unsigned box, unsigned row) {
+    std::array<std::uint16_t, 4> bits{};
     for (unsigned bit = 0; bit < 4; ++bit) {
         // Truth table of coordinate y_{bit+1}: output nibble bit (3 - bit).
         std::array<std::uint8_t, 16> coeff{};
@@ -31,9 +31,18 @@ MiniSboxAnf mini_sbox_anf(unsigned box, unsigned row) {
             for (unsigned m = 0; m < 16; ++m)
                 if ((m & stride) != 0) coeff[m] ^= coeff[m ^ stride];
         for (unsigned mask = 0; mask < 16; ++mask)
-            if (coeff[mask] != 0)
-                anf.terms[bit].push_back(static_cast<std::uint8_t>(mask));
+            bits[bit] |= static_cast<std::uint16_t>(coeff[mask] << mask);
     }
+    return bits;
+}
+
+MiniSboxAnf mini_sbox_anf(unsigned box, unsigned row) {
+    const std::array<std::uint16_t, 4> bits = mini_sbox_anf_bits(box, row);
+    MiniSboxAnf anf;
+    for (unsigned bit = 0; bit < 4; ++bit)
+        for (unsigned mask = 0; mask < 16; ++mask)
+            if ((bits[bit] >> mask) & 1u)
+                anf.terms[bit].push_back(static_cast<std::uint8_t>(mask));
     return anf;
 }
 

@@ -31,6 +31,12 @@ struct MiniSboxAnf {
 /// Moebius transform of mini S-box (`box` 0..7, `row` 0..3).
 [[nodiscard]] MiniSboxAnf mini_sbox_anf(unsigned box, unsigned row);
 
+/// The same ANF as coefficient sets: bit `mask` of entry `bit` is set when
+/// monomial `mask` appears in coordinate y_{bit+1} (ascending bit order is
+/// MiniSboxAnf's term order).
+[[nodiscard]] std::array<std::uint16_t, 4> mini_sbox_anf_bits(unsigned box,
+                                                              unsigned row);
+
 /// Evaluates the ANF on a 4-bit column value (bit 3 = x1).
 [[nodiscard]] std::uint8_t eval_mini_anf(const MiniSboxAnf& anf,
                                          std::uint8_t column);

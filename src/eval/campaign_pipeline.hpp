@@ -3,7 +3,7 @@
 // Every evaluation in the paper is the same loop -- restart the device,
 // apply a stimulus, record the per-cycle power trace, fold it into the
 // statistics.  run_campaign() is that loop, once: validation, backend and
-// attribution plans, fingerprint folds, telemetry session, checkpoint
+// attribution plans, the fingerprint fold, telemetry session, checkpoint
 // policy, one scalar and one lane block body, and the one place where the
 // backend plan picks the lane engine.  The drivers (eval/campaign.cpp,
 // eval/gadget_tvla.cpp, eval/des_experiments.cpp) only define stimuli.
@@ -58,8 +58,7 @@ struct CampaignSetup {
     std::size_t block_size = 64;
     unsigned lanes = 0;  // config convention: 0 auto, 1 scalar, 64..512
     const CampaignRunOptions& run;
-    /// The driver's campaign identity; the pipeline folds in attribution
-    /// and the backend.
+    /// The driver's campaign identity; the pipeline folds in attribution.
     CampaignFingerprint fingerprint;
 };
 
@@ -177,7 +176,6 @@ template <class Stimulus, class Stats, class Report>
     const leakage::AttributionPlan* probe_plan = attribute ? &attr_plan : nullptr;
     CampaignFingerprint fingerprint = setup.fingerprint;
     if (attribute) fold_attribution_fingerprint(fingerprint, run);
-    fold_backend_fingerprint(fingerprint, bplan);
     RunTelemetrySession session(setup.tag, run, fingerprint, setup.traces,
                                 pool.size(), bplan.lanes);
     CheckpointPolicy policy = make_checkpoint_policy(run, setup.tag);
@@ -296,12 +294,15 @@ template <class Stimulus, class Stats, class Report>
                         probe_plan);
                 },
                 scalar_block);
-        if (bplan.backend == SimBackend::Compiled)
+        if (bplan.backend == SimBackend::Compiled) {
+            // One compile (and one cache lookup) per call, on this thread;
+            // every worker's engine shares the program.
+            const auto program = sim::compile_netlist(setup.nl, setup.dm);
             return run_lanes([&] {
                 return std::make_unique<LaneWorker<sim::CompiledClockedSim>>(
-                    setup.nl, setup.dm, bplan.lanes, setup.clock,
-                    setup.coupling, sim::SimOptions{});
+                    setup.nl, program, bplan.lanes, setup.clock);
             });
+        }
         return run_lanes([&] {
             return std::make_unique<LaneWorker<EventLaneSim>>(
                 setup.nl, setup.dm, setup.clock, setup.coupling);

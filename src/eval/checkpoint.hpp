@@ -124,11 +124,10 @@ struct CampaignRunOptions {
     /// substring (empty = every net).  Bounds probe memory on large
     /// designs: the accumulator holds 48 B per (net, window) point.
     std::string attribution_scope;
-    /// Simulation backend: "event" (default), "compiled", or "" to defer
-    /// to GLITCHMASK_BACKEND (see eval/lane_backend.hpp).  The compiled
-    /// backend changes the snapshot payload, so a checkpoint written
-    /// under one backend cannot silently resume under the other; lane
-    /// *width* is not part of the identity (results are width-invariant).
+    /// Simulation backend: "compiled" (default), "event", or "" to defer
+    /// to GLITCHMASK_BACKEND (see eval/lane_backend.hpp).  Neither the
+    /// backend nor the lane width is part of the snapshot identity: the
+    /// engines are bit-identical, so a checkpoint resumes under any.
     std::string backend;
     /// Retry ladder for transient checkpoint-write errors (EINTR/EIO);
     /// permanent errnos (ENOSPC, EROFS, ...) are never retried.

@@ -17,8 +17,8 @@ const char* backend_name(SimBackend backend) noexcept {
 namespace {
 
 SimBackend parse_backend(const std::string& name) {
-    if (name.empty() || name == "event") return SimBackend::Event;
-    if (name == "compiled") return SimBackend::Compiled;
+    if (name.empty() || name == "compiled") return SimBackend::Compiled;
+    if (name == "event") return SimBackend::Event;
     throw std::invalid_argument(
         "campaign config: unknown backend \"" + name +
         "\" (expected \"event\" or \"compiled\")");
@@ -95,13 +95,6 @@ BackendPlan resolve_backend_plan(const CampaignRunOptions& run,
     if (backend == SimBackend::Event) return BackendPlan{SimBackend::Event, 64};
     if (lanes == 0) lanes = default_compiled_lanes(netlist_nets, block_size);
     return BackendPlan{SimBackend::Compiled, lanes};
-}
-
-void fold_backend_fingerprint(CampaignFingerprint& fingerprint,
-                              const BackendPlan& plan) {
-    if (plan.backend != SimBackend::Compiled || plan.scalar()) return;
-    fingerprint.payload = fnv1a64(fingerprint.payload, fnv1a64_tag("backend"));
-    fingerprint.payload = fnv1a64(fingerprint.payload, fnv1a64_tag("compiled"));
 }
 
 }  // namespace glitchmask::eval

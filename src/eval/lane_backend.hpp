@@ -21,11 +21,12 @@
 //
 // resolve_backend_plan() owns the policy and is the one place lane widths
 // are checked: CampaignRunOptions::backend beats GLITCHMASK_BACKEND beats
-// "event"; a config's lanes beat GLITCHMASK_LANES; lanes = 1 and timing
+// "compiled"; a config's lanes beat GLITCHMASK_LANES; lanes = 1 and timing
 // coupling force the scalar path; the compiled width, when left open, is
-// the cache-sized width capped at the block size.  The backend (not the
-// width) folds into the campaign fingerprint, so checkpoints refuse to
-// resume across a backend switch.
+// the cache-sized width capped at the block size.  Neither the backend
+// nor the width folds into the campaign fingerprint: every engine is
+// bit-identical, so a checkpoint written under one resumes under any
+// other.
 #pragma once
 
 #include <algorithm>
@@ -52,7 +53,7 @@ enum class SimBackend { Event, Compiled };
 [[nodiscard]] const char* backend_name(SimBackend backend) noexcept;
 
 struct BackendPlan {
-    SimBackend backend = SimBackend::Event;
+    SimBackend backend = SimBackend::Compiled;
     /// Traces per pass: 1 = scalar event path, 64 = bitsliced event, up
     /// to 512 for the compiled backend.
     unsigned lanes = 64;
@@ -77,13 +78,6 @@ struct BackendPlan {
                                                bool timing_coupling,
                                                std::size_t netlist_nets = 0,
                                                std::size_t block_size = 64);
-
-/// Folds the backend choice into the snapshot identity.  The event
-/// backend folds nothing (pre-existing checkpoints stay valid); the
-/// compiled backend folds a tag so event<->compiled resume mismatches.
-/// Lane width is never folded: results are width-invariant.
-void fold_backend_fingerprint(CampaignFingerprint& fingerprint,
-                              const BackendPlan& plan);
 
 /// The bitsliced event engine on the lane path: BatchClockedSim already
 /// speaks the chunked-sim API with one 64-lane chunk.

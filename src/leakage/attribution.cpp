@@ -379,7 +379,8 @@ AttributionResult analyze_attribution(const netlist::Netlist& nl,
         const netlist::NetId id = plan.net(i);
         NetAttribution& net = nets[i];
         net.net = id;
-        net.name = nl.name(id).empty() ? "n" + std::to_string(id) : nl.name(id);
+        net.name = nl.name(id).empty() ? "n" + std::to_string(id)
+                                       : std::string(nl.name(id));
         net.kind = std::string(netlist::kind_name(nl.cell(id).kind));
         net.module = nl.module_names()[nl.module_of(id)];
         for (std::size_t w = 0; w < windows; ++w) {

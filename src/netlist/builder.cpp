@@ -24,14 +24,12 @@ Bus xor_bus(Netlist& nl, const Bus& a, const Bus& b) {
 
 NetId xor_reduce(Netlist& nl, std::span<const NetId> nets) {
     if (nets.empty()) return nl.const0();
+    // Pairwise levels, each reduced in place into the front of one buffer.
     std::vector<NetId> level(nets.begin(), nets.end());
-    while (level.size() > 1) {
-        std::vector<NetId> next;
-        next.reserve((level.size() + 1) / 2);
-        for (std::size_t i = 0; i + 1 < level.size(); i += 2)
-            next.push_back(nl.xor2(level[i], level[i + 1]));
-        if (level.size() % 2 != 0) next.push_back(level.back());
-        level = std::move(next);
+    for (std::size_t n = level.size(); n > 1; n = (n + 1) / 2) {
+        for (std::size_t i = 0; i + 1 < n; i += 2)
+            level[i / 2] = nl.xor2(level[i], level[i + 1]);
+        if (n % 2 != 0) level[n / 2] = level[n - 1];
     }
     return level.front();
 }

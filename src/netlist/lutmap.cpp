@@ -51,8 +51,9 @@ LutMapResult estimate_luts(const Netlist& nl, unsigned k) {
     std::vector<Support> support(nl.size());
     std::vector<char> absorbed(nl.size(), 0);
 
-    for (const CellId id : nl.topo_order()) {
+    for (CellId id = 0; id < nl.size(); ++id) {
         const Cell& cell = nl.cell(id);
+        if (is_source(cell.kind)) continue;
         if (cell.kind == CellKind::DelayBuf) {
             ++result.delay_luts;
             continue;
@@ -84,9 +85,9 @@ LutMapResult estimate_luts(const Netlist& nl, unsigned k) {
     }
 
     std::size_t logic_luts = 0;
-    for (const CellId id : nl.topo_order()) {
+    for (CellId id = 0; id < nl.size(); ++id) {
         const Cell& cell = nl.cell(id);
-        if (cell.kind == CellKind::DelayBuf) continue;
+        if (is_source(cell.kind) || cell.kind == CellKind::DelayBuf) continue;
         if (!absorbed[id]) ++logic_luts;
     }
     result.luts = logic_luts + result.delay_luts;

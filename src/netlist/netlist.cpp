@@ -10,12 +10,12 @@ Netlist::Netlist() {
     module_names_.emplace_back("");  // module 0: top
 }
 
-std::string Netlist::scoped_name(std::string_view name) const {
-    if (name.empty()) return {};
-    if (scope_prefix_.empty()) return std::string(name);
-    std::string full = scope_prefix_;
-    full += name;
-    return full;
+void Netlist::push_name(std::string_view name) {
+    if (!name.empty()) {
+        name_chars_ += scope_prefix_;
+        name_chars_ += name;
+    }
+    name_end_.push_back(static_cast<std::uint32_t>(name_chars_.size()));
 }
 
 CellId Netlist::add(CellKind kind, NetId a, NetId b, NetId c,
@@ -37,7 +37,7 @@ CellId Netlist::add(CellKind kind, NetId a, NetId b, NetId c,
             throw std::runtime_error("Netlist::add: pin references unknown net");
     }
     cells_.push_back(cell);
-    names_.push_back(scoped_name(name));
+    push_name(name);
     if (kind == CellKind::Input) inputs_.push_back(id);
     if (kind == CellKind::Dff) flops_.push_back(id);
     return id;
@@ -89,7 +89,7 @@ NetId Netlist::dff_floating(CtrlGroup enable, CtrlGroup reset,
     cell.enable = enable;
     cell.reset = reset;
     cells_.push_back(cell);
-    names_.push_back(scoped_name(name));
+    push_name(name);
     flops_.push_back(id);
     max_ctrl_ = std::max({max_ctrl_, enable, reset});
     return id;
@@ -111,7 +111,8 @@ void Netlist::couple(NetId a, NetId b) {
 }
 
 void Netlist::push_scope(std::string_view name) {
-    scope_stack_.emplace_back(name);
+    scope_stack_.push_back({static_cast<std::uint32_t>(scope_prefix_.size()),
+                            current_module_});
     scope_prefix_ += name;
     scope_prefix_ += '/';
     module_names_.push_back(scope_prefix_);
@@ -120,22 +121,9 @@ void Netlist::push_scope(std::string_view name) {
 
 void Netlist::pop_scope() {
     assert(!scope_stack_.empty());
-    const std::size_t cut = scope_stack_.back().size() + 1;
-    scope_prefix_.resize(scope_prefix_.size() - cut);
+    scope_prefix_.resize(scope_stack_.back().prefix_size);
+    current_module_ = scope_stack_.back().outer_module;
     scope_stack_.pop_back();
-    // Restore the enclosing module id: find (or recreate) its name entry.
-    if (scope_prefix_.empty()) {
-        current_module_ = 0;
-        return;
-    }
-    for (std::size_t m = module_names_.size(); m-- > 0;) {
-        if (module_names_[m] == scope_prefix_) {
-            current_module_ = static_cast<std::uint32_t>(m);
-            return;
-        }
-    }
-    module_names_.push_back(scope_prefix_);
-    current_module_ = static_cast<std::uint32_t>(module_names_.size() - 1);
 }
 
 void Netlist::freeze() {
@@ -144,9 +132,11 @@ void Netlist::freeze() {
     for (const CellId flop : flops_)
         if (cells_[flop].in[0] == kNoNet)
             throw std::runtime_error("Netlist::freeze: unconnected flop D pin (" +
-                                     names_[flop] + ")");
+                                     std::string(name(flop)) + ")");
 
-    // Fanout lists (counting sort by driver).
+    // Fanout lists (counting sort by driver).  The fill uses
+    // fanout_offset_[d] as driver d's cursor, which leaves each entry at
+    // the next driver's start; shifting the array up one restores it.
     fanout_offset_.assign(cells_.size() + 1, 0);
     for (const Cell& cell : cells_) {
         const unsigned pins = pin_count(cell.kind);
@@ -155,35 +145,17 @@ void Netlist::freeze() {
     for (std::size_t i = 1; i < fanout_offset_.size(); ++i)
         fanout_offset_[i] += fanout_offset_[i - 1];
     fanout_flat_.resize(fanout_offset_.back());
-    std::vector<std::uint32_t> cursor(fanout_offset_.begin(),
-                                      fanout_offset_.end() - 1);
     for (CellId id = 0; id < cells_.size(); ++id) {
         const Cell& cell = cells_[id];
         const unsigned pins = pin_count(cell.kind);
         for (unsigned p = 0; p < pins; ++p)
-            fanout_flat_[cursor[cell.in[p]]++] = {id, static_cast<std::uint8_t>(p)};
+            fanout_flat_[fanout_offset_[cell.in[p]]++] = {
+                id, static_cast<std::uint8_t>(p)};
     }
+    for (std::size_t i = cells_.size(); i > 0; --i)
+        fanout_offset_[i] = fanout_offset_[i - 1];
+    fanout_offset_[0] = 0;
 
-    // Topological order of combinational cells.  Because add() enforces
-    // that pins reference already-created cells, creation order *is* a
-    // topological order; we only filter out sources (inputs, constants,
-    // flops).  A combinational cycle is therefore impossible by
-    // construction, which we assert by re-checking pin ordering.
-    topo_.clear();
-    topo_.reserve(cells_.size());
-    for (CellId id = 0; id < cells_.size(); ++id) {
-        const Cell& cell = cells_[id];
-        switch (cell.kind) {
-            case CellKind::Input:
-            case CellKind::Const0:
-            case CellKind::Const1:
-            case CellKind::Dff:
-                break;
-            default:
-                topo_.push_back(id);
-                break;
-        }
-    }
     frozen_ = true;
 }
 

@@ -83,6 +83,15 @@ inline constexpr std::size_t kNumCellKinds = 16;
     }
 }
 
+/// Sources drive a net without evaluating pins: primary inputs,
+/// constants and flip-flops.  Every other cell is combinational, and
+/// creation order is a topological order of those (add() only accepts
+/// pins that reference existing cells).
+[[nodiscard]] constexpr bool is_source(CellKind kind) noexcept {
+    return kind == CellKind::Input || kind == CellKind::Const0 ||
+           kind == CellKind::Const1 || kind == CellKind::Dff;
+}
+
 [[nodiscard]] constexpr std::string_view kind_name(CellKind kind) noexcept {
     switch (kind) {
         case CellKind::Input: return "INPUT";
@@ -245,10 +254,10 @@ public:
 
     // ----- freeze & queries ----------------------------------------------
 
-    /// Builds fanout lists and a topological order of combinational cells;
-    /// throws std::runtime_error on a combinational cycle.  Must be called
-    /// before handing the netlist to a simulator / STA / mapper.  Adding
-    /// cells afterwards un-freezes the netlist.
+    /// Builds the fanout lists; throws std::runtime_error on a flop left
+    /// without a D pin.  Must be called before handing the netlist to a
+    /// simulator / STA / mapper.  Adding cells afterwards un-freezes the
+    /// netlist.
     void freeze();
     [[nodiscard]] bool frozen() const noexcept { return frozen_; }
 
@@ -258,11 +267,6 @@ public:
 
     /// Sinks of the net driven by `id` (valid after freeze()).
     [[nodiscard]] std::span<const Sink> fanout(NetId id) const noexcept;
-
-    /// Combinational cells in topological order (valid after freeze()).
-    [[nodiscard]] std::span<const CellId> topo_order() const noexcept {
-        return topo_;
-    }
 
     [[nodiscard]] std::span<const CellId> inputs() const noexcept { return inputs_; }
     [[nodiscard]] std::span<const CellId> flops() const noexcept { return flops_; }
@@ -274,8 +278,9 @@ public:
     [[nodiscard]] std::array<std::size_t, kNumCellKinds> kind_histogram() const;
 
     /// Name lookup (empty when the cell was created without a name).
-    [[nodiscard]] const std::string& name(CellId id) const noexcept {
-        return names_[id];
+    [[nodiscard]] std::string_view name(CellId id) const noexcept {
+        return {name_chars_.data() + name_end_[id],
+                name_end_[id + 1] - name_end_[id]};
     }
     [[nodiscard]] const std::vector<std::string>& module_names() const noexcept {
         return module_names_;
@@ -289,16 +294,25 @@ public:
     [[nodiscard]] CtrlGroup max_ctrl_group() const noexcept { return max_ctrl_; }
 
 private:
-    std::string scoped_name(std::string_view name) const;
+    /// Appends the next cell's scoped name to the name arena.
+    void push_name(std::string_view name);
 
     std::vector<Cell> cells_;
-    std::vector<std::string> names_;
+    // Every cell name, scope prefix included, back to back in one arena:
+    // cell c's name is name_chars_[name_end_[c], name_end_[c + 1]).
+    std::string name_chars_;
+    std::vector<std::uint32_t> name_end_{0};
     std::vector<CellId> inputs_;
     std::vector<CellId> flops_;
     std::vector<CoupledPair> coupled_;
 
-    // scope machinery
-    std::vector<std::string> scope_stack_;
+    // scope machinery: per open scope, the prefix length and module id to
+    // restore when it closes
+    struct OpenScope {
+        std::uint32_t prefix_size;
+        std::uint32_t outer_module;
+    };
+    std::vector<OpenScope> scope_stack_;
     std::string scope_prefix_;
     std::vector<std::string> module_names_;
     std::uint32_t current_module_ = 0;
@@ -307,7 +321,6 @@ private:
     bool frozen_ = false;
     std::vector<Sink> fanout_flat_;
     std::vector<std::uint32_t> fanout_offset_;
-    std::vector<CellId> topo_;
 
     NetId const0_ = kNoNet;
     NetId const1_ = kNoNet;

@@ -300,8 +300,17 @@ std::size_t CampaignService::load_state() {
         if (requests == nullptr ||
             requests->kind != json::JsonValue::Kind::kArray)
             throw std::runtime_error("state file: missing 'requests' array");
-        for (const json::JsonValue& entry : requests->array) {
-            const CampaignRequest request = decode_request(entry);
+        // One bad entry (say a `workers` above this host's cap, saved on
+        // a bigger host) costs that entry alone, not the whole file.
+        for (std::size_t i = 0; i < requests->array.size(); ++i) {
+            CampaignRequest request;
+            try {
+                request = decode_request(requests->array[i]);
+            } catch (const std::exception& error) {
+                log::warn("service: skipping state-file request " +
+                          std::to_string(i) + ": " + error.what());
+                continue;
+            }
             if (submit(request).kind == SubmitResult::Kind::Accepted)
                 ++accepted;
             else

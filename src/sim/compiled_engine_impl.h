@@ -24,10 +24,15 @@
 //     parallel arrays plus two program arrays (seven-plus cache lines,
 //     most of a ~1 MB working set at W=4); now it touches one struct
 //     line-run plus the two small heap blocks.
-//   * Event is 48 bytes at W=4: pin packs into the cell id's top byte
-//     (programs are capped at 2^24 cells) and seq is 32-bit with an
-//     explicit overflow guard (a settle pass never reaches 4G events).
+//   * Event is 56 bytes at W=4: pin packs into the cell id's top byte
+//     (programs are capped at 2^24 cells), seq is 32-bit with an
+//     explicit overflow guard (a settle pass never reaches 4G events),
+//     and a 32-bit `next` threads the event into its time slot's list.
 //     Commit events never write or read their mask.
+//   * The ring is one event pool plus a head/tail pair per time slot:
+//     a drained event goes on the pool's free list and the next push
+//     reuses it, so the pool stays at the live-event peak (a few
+//     thousand events on DES) however the pushes spread over the slots.
 //
 // Everything here lives in internal linkage except the factory, so two
 // variants in one binary cannot collide.
@@ -50,6 +55,8 @@ namespace {
 constexpr std::uint8_t kOutputPin = 0xFF;
 constexpr std::uint8_t kSourcePin = 0xFE;
 constexpr TimePs kNoEvent = ~TimePs{0};
+constexpr std::uint32_t kNil = ~std::uint32_t{0};     // no pool entry
+constexpr std::uint32_t kCellMask = 0xFFFFFFu;        // cell id of cell_pin
 
 // ----- lane words --------------------------------------------------------
 
@@ -193,11 +200,14 @@ public:
         cells_.resize(n);
         for (CellId id = 0; id < n; ++id) {
             cells_[id].gate_ps = p_->gate_ps[id];
-            cells_[id].inertial_window = p_->inertial_window[id];
+            // Same rounding expression as the event engines, so the
+            // inertial windows agree bit-for-bit.
+            cells_[id].inertial_window = static_cast<TimePs>(
+                p_->inertial_factor * static_cast<double>(p_->gate_ps[id]));
         }
         pin_val_.resize(p_->pin_base[n]);
         ring_mask_ = p_->ring_size - 1;
-        buckets_.resize(p_->ring_size);
+        slots_.assign(p_->ring_size, Slot{kNil, kNil});
         occ_.assign(p_->ring_size / 64, 0);
         for (unsigned c = 0; c < W; ++c) views_[c].bind(this, c);
         initialize();
@@ -206,9 +216,16 @@ public:
     [[nodiscard]] unsigned chunks() const noexcept override { return W; }
 
     void initialize() override {
-        for (std::size_t slot = 0; slot < buckets_.size(); ++slot)
-            buckets_[slot].clear();
-        std::fill(occ_.begin(), occ_.end(), 0);
+        // Only occupied slots hold a list; empty ones already read kNil.
+        for (std::size_t word = 0; word < occ_.size(); ++word) {
+            for (std::uint64_t bits = occ_[word]; bits != 0; bits &= bits - 1)
+                slots_[(word << 6) + static_cast<std::size_t>(
+                                         std::countr_zero(bits))]
+                    .head = kNil;
+            occ_[word] = 0;
+        }
+        events_.clear();
+        free_ = kNil;
         overflow_ = {};
         wheel_count_ = 0;
         live_ = 0;
@@ -227,10 +244,16 @@ public:
             cs.pending.clear();
             cs.marks.clear();
         }
+        // Each pin starts at its driver's settled value: every pin is
+        // exactly one fanout edge.
         for (CellId id = 0; id < n; ++id) {
-            const unsigned pins = p_->pins[id];
-            for (unsigned q = 0; q < pins; ++q)
-                pin_val_[p_->pin_base[id] + q] = cells_[p_->in[id * 3 + q]].out;
+            const LW<W>& out = cells_[id].out;
+            const std::uint32_t fe = p_->fanout_begin[id + 1];
+            for (std::uint32_t f = p_->fanout_begin[id]; f < fe; ++f) {
+                const std::uint32_t cell_pin = p_->fanout[f].cell_pin;
+                pin_val_[p_->pin_base[cell_pin & kCellMask] +
+                         (cell_pin >> 24)] = out;
+            }
         }
     }
 
@@ -321,20 +344,27 @@ private:
     // flipping exactly those lanes reproduces the old merge), and commit
     // events (output or source) carry nothing -- their lanes and target
     // value wait in CellState::pending, keyed by seq.  pin lives in the
-    // cell id's top byte and seq is 32-bit (guarded), so the header is
-    // 16 bytes and an Event is 48 B at W=4 / 80 B at W=8.
+    // cell id's top byte and seq is 32-bit (guarded); with the slot link
+    // the header is 24 bytes, so an Event is 56 B at W=4 / 88 B at W=8.
     struct Event {
         TimePs time;
         std::uint32_t seq;
         std::uint32_t cell_pin;  // (pin << 24) | cell
+        std::uint32_t next;      // next event of the slot (pool index)
         LW<W> mask;              // pin event: lanes to flip; commits: unused
 
         Event() = default;
         Event(TimePs t, std::uint32_t s, std::uint32_t cp) noexcept
-            : time(t), seq(s), cell_pin(cp) {}
+            : time(t), seq(s), cell_pin(cp), next(kNil) {}
         Event(TimePs t, std::uint32_t s, std::uint32_t cp,
               const LW<W>& m) noexcept
-            : time(t), seq(s), cell_pin(cp), mask(m) {}
+            : time(t), seq(s), cell_pin(cp), next(kNil), mask(m) {}
+    };
+    /// One time slot: a FIFO list through the event pool (head == kNil
+    /// when empty; tail is read only while head is set).
+    struct Slot {
+        std::uint32_t head;
+        std::uint32_t tail;
     };
     struct Pending {
         TimePs time;
@@ -400,41 +430,52 @@ private:
 
     // ----- time-slot ring ------------------------------------------------
 
-    void note_push(TimePs time) noexcept {
+    /// A pool slot for one event: the free list first, else a new one.
+    [[nodiscard]] std::uint32_t alloc_event() {
+        if (free_ != kNil) {
+            const std::uint32_t idx = free_;
+            free_ = events_[idx].next;
+            return idx;
+        }
+        events_.emplace_back();
+        return static_cast<std::uint32_t>(events_.size() - 1);
+    }
+
+    /// Appends pooled event `idx` to its time slot's list.
+    void link_tail(std::uint32_t idx) noexcept {
+        const std::size_t slot = events_[idx].time & ring_mask_;
+        Slot& s = slots_[slot];
+        if (s.head == kNil) {
+            s.head = idx;
+            occ_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+        } else {
+            events_[s.tail].next = idx;
+        }
+        s.tail = idx;
+        ++wheel_count_;
+    }
+
+    void push(const Event& ev) {
         ++live_;
         if (live_ > queue_peak_) queue_peak_ = live_;
-        const std::size_t slot = time & ring_mask_;
-        occ_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-        ++wheel_count_;
+        if (ev.time - now_ <= ring_mask_) {
+            const std::uint32_t idx = alloc_event();
+            events_[idx] = ev;
+            link_tail(idx);
+        } else {
+            overflow_.push(ev);
+        }
     }
 
     /// Commit event: lanes/value live in CellState::pending under this
     /// seq, so the event's mask stays unwritten (and unread).
     void push_commit(CellId cell, std::uint8_t pin, TimePs time) {
-        const std::uint32_t seq = next_seq();
-        if (time - now_ <= ring_mask_) {
-            buckets_[time & ring_mask_].emplace_back(time, seq,
-                                                     pack(cell, pin));
-            note_push(time);
-        } else {
-            ++live_;
-            if (live_ > queue_peak_) queue_peak_ = live_;
-            overflow_.push(Event(time, seq, pack(cell, pin)));
-        }
+        push(Event(time, next_seq(), pack(cell, pin)));
     }
 
-    void push_pin_event(CellId cell, std::uint8_t pin, TimePs time,
+    void push_pin_event(std::uint32_t cell_pin, TimePs time,
                         const LW<W>& mask) {
-        const std::uint32_t seq = next_seq();
-        if (time - now_ <= ring_mask_) {
-            buckets_[time & ring_mask_].emplace_back(time, seq,
-                                                     pack(cell, pin), mask);
-            note_push(time);
-        } else {
-            ++live_;
-            if (live_ > queue_peak_) queue_peak_ = live_;
-            overflow_.push(Event(time, seq, pack(cell, pin), mask));
-        }
+        push(Event(time, next_seq(), cell_pin, mask));
     }
 
     /// Earliest occupied slot time >= now_ (valid only when the wheel is
@@ -459,17 +500,29 @@ private:
 
     void migrate_overflow() {
         while (!overflow_.empty() && overflow_.top().time - now_ <= ring_mask_) {
-            Event ev = overflow_.top();
+            const std::uint32_t idx = alloc_event();
+            events_[idx] = overflow_.top();
             overflow_.pop();
-            const std::size_t slot = ev.time & ring_mask_;
-            auto& bucket = buckets_[slot];
-            // Keep the bucket seq-sorted: entries appended while this
-            // event sat in the overflow heap carry larger seq numbers.
-            std::size_t pos = bucket.size();
-            while (pos > 0 && bucket[pos - 1].seq > ev.seq) --pos;
-            bucket.insert(bucket.begin() + static_cast<std::ptrdiff_t>(pos),
-                          std::move(ev));
-            occ_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+            Slot& s = slots_[events_[idx].time & ring_mask_];
+            if (s.head == kNil) {
+                link_tail(idx);
+                continue;
+            }
+            // Keep the slot seq-sorted: entries pushed while this event
+            // sat in the overflow heap carry larger seq numbers.
+            const std::uint32_t seq = events_[idx].seq;
+            std::uint32_t prev = kNil;
+            std::uint32_t cur = s.head;
+            while (cur != kNil && events_[cur].seq < seq) {
+                prev = cur;
+                cur = events_[cur].next;
+            }
+            events_[idx].next = cur;
+            if (prev == kNil)
+                s.head = idx;
+            else
+                events_[prev].next = idx;
+            if (cur == kNil) s.tail = idx;
             ++wheel_count_;
         }
     }
@@ -484,29 +537,33 @@ private:
         now_ = t;
         migrate_overflow();
         const std::size_t slot = t & ring_mask_;
-        auto& bucket = buckets_[slot];
-        // Index loop, size re-read each pass: same-time pushes during the
-        // drain append here and must run in this pass (FIFO == seq order,
-        // exactly the heap's (time, seq) order).  Only the 16-byte header
-        // is copied up front (pushes may reallocate the bucket); the mask
-        // is copied just for pin events.
-        for (std::size_t i = 0; i < bucket.size(); ++i) {
-            const TimePs time = bucket[i].time;
-            const std::uint32_t seq = bucket[i].seq;
-            const std::uint32_t cell_pin = bucket[i].cell_pin;
+        Slot& s = slots_[slot];
+        // Pop from the head until the list is empty: same-time pushes
+        // during the drain append at the tail and must run in this pass
+        // (FIFO == seq order, exactly the heap's (time, seq) order).  The
+        // event is copied out and freed before it runs, so the pushes it
+        // makes may reuse its pool entry; the mask is copied just for pin
+        // events.
+        while (s.head != kNil) {
+            const std::uint32_t idx = s.head;
+            Event& ev = events_[idx];
+            const std::uint32_t seq = ev.seq;
+            const std::uint32_t cell_pin = ev.cell_pin;
+            s.head = ev.next;
+            ev.next = free_;
+            free_ = idx;
             ++processed_;
             --wheel_count_;
             --live_;
-            const CellId cell = cell_pin & 0xFFFFFFu;
+            const CellId cell = cell_pin & kCellMask;
             const std::uint8_t pin = static_cast<std::uint8_t>(cell_pin >> 24);
             if (pin >= kSourcePin) {
-                commit_output(cell, time, seq);
+                commit_output(cell, t, seq);
             } else {
-                const LW<W> mask = bucket[i].mask;
-                update_pin(cell, pin, time, mask);
+                const LW<W> mask = ev.mask;
+                update_pin(cell, pin, t, mask);
             }
         }
-        bucket.clear();
         occ_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
         return true;
     }
@@ -633,7 +690,7 @@ private:
         const std::uint32_t fe = p_->fanout_begin[cell + 1];
         for (std::uint32_t f = fb; f < fe; ++f) {
             const CompiledProgram::FanoutEdge& edge = p_->fanout[f];
-            push_pin_event(edge.cell, edge.pin, time + edge.wire_ps, toggled);
+            push_pin_event(edge.cell_pin, time + edge.wire_ps, toggled);
         }
     }
 
@@ -662,7 +719,9 @@ private:
     std::vector<CellState> cells_;
     std::vector<LW<W>> pin_val_;
 
-    std::vector<std::vector<Event>> buckets_;
+    std::vector<Event> events_;  // the pool
+    std::uint32_t free_ = kNil;  // free list through Event::next
+    std::vector<Slot> slots_;
     std::vector<std::uint64_t> occ_;
     std::size_t ring_mask_ = 0;
     std::size_t wheel_count_ = 0;

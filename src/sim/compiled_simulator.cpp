@@ -1,6 +1,7 @@
 #include "sim/compiled_simulator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <mutex>
 #include <stdexcept>
@@ -25,120 +26,170 @@ namespace {
 
 // ----- program fingerprint ----------------------------------------------
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-inline std::uint64_t fnv_bytes(std::uint64_t h, const void* data,
-                               std::size_t n) noexcept {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
-    return h;
+/// Word-wise 64-bit hash step: a multiply spreads the word's low bits up,
+/// the shift folds the high bits back down.
+inline std::uint64_t hash_word(std::uint64_t h, std::uint64_t word) noexcept {
+    h = (h ^ word) * 0x9e3779b97f4a7c15ull;
+    return h ^ (h >> 32);
 }
 
-template <class T>
-inline std::uint64_t fnv_value(std::uint64_t h, const T& v) noexcept {
-    return fnv_bytes(h, &v, sizeof(v));
+inline std::uint64_t double_bits(double x) noexcept {
+    return std::bit_cast<std::uint64_t>(x);
 }
 
-std::uint64_t program_key(const netlist::Netlist& nl, const DelayModel& dm,
+/// Fingerprint of everything a program is a function of: the netlist
+/// structure (kinds, control groups, pins), the DelayConfig the delay
+/// model was drawn from, and the SimOptions.
+std::uint64_t program_key(const netlist::Netlist& nl, const DelayConfig& delay,
                           const SimOptions& options) {
-    std::uint64_t h = kFnvOffset;
-    h = fnv_value(h, nl.size());
-    for (CellId id = 0; id < nl.size(); ++id) {
-        const netlist::Cell& cell = nl.cell(id);
-        h = fnv_value(h, cell.kind);
-        h = fnv_value(h, cell.enable);
-        h = fnv_value(h, cell.reset);
-        h = fnv_value(h, cell.in[0]);
-        h = fnv_value(h, cell.in[1]);
-        h = fnv_value(h, cell.in[2]);
-        h = fnv_value(h, dm.gate_delay(id));
-        h = fnv_value(h, dm.wire_delay(id, 0));
-        h = fnv_value(h, dm.wire_delay(id, 1));
-        h = fnv_value(h, dm.wire_delay(id, 2));
+    // Two independent chains over the cells, so their multiplies overlap.
+    std::uint64_t h = hash_word(0xcbf29ce484222325ull, nl.size());
+    std::uint64_t pins = 0x84222325cbf29ce4ull;
+    for (const netlist::Cell& cell : nl.cells()) {
+        h = hash_word(h, static_cast<std::uint64_t>(cell.kind) |
+                             std::uint64_t{cell.enable} << 8 |
+                             std::uint64_t{cell.reset} << 24 |
+                             std::uint64_t{cell.in[2]} << 32);
+        pins = hash_word(pins, cell.in[0] | std::uint64_t{cell.in[1]} << 32);
     }
-    h = fnv_value(h, dm.clk_to_q());
-    h = fnv_value(h, options.inertial_filtering);
-    h = fnv_value(h, options.inertial_factor);
-    return h;
+    h = hash_word(h, pins);
+    for (std::size_t k = 0; k < delay.nominal_ps.size(); k += 2)
+        h = hash_word(h, delay.nominal_ps[k] |
+                             std::uint64_t{delay.nominal_ps[k + 1]} << 32);
+    h = hash_word(h, double_bits(delay.gate_jitter));
+    h = hash_word(h, double_bits(delay.delaybuf_jitter));
+    h = hash_word(h, delay.wire_min_ps | std::uint64_t{delay.wire_max_ps} << 32);
+    h = hash_word(h, delay.clk_to_q_ps | std::uint64_t{delay.setup_ps} << 32);
+    h = hash_word(h, delay.seed);
+    h = hash_word(h, options.inertial_filtering ? 1u : 0u);
+    return hash_word(h, double_bits(options.inertial_factor));
 }
+
+/// Per kind, the settled output for each input row a | b << 1 | c << 2:
+/// eval_cell's truth table, except that sources (inputs, constants,
+/// flops) settle to their all-sources-low value whatever their pins.
+constexpr std::array<std::uint8_t, netlist::kNumCellKinds> kSettleTruth = [] {
+    std::array<std::uint8_t, netlist::kNumCellKinds> table{};
+    for (std::size_t k = 0; k < table.size(); ++k) {
+        const auto kind = static_cast<netlist::CellKind>(k);
+        for (unsigned row = 0; row < 8; ++row)
+            if (netlist::eval_cell(kind, (row & 1u) != 0, (row & 2u) != 0,
+                                   (row & 4u) != 0))
+                table[k] |= static_cast<std::uint8_t>(1u << row);
+    }
+    table[static_cast<std::size_t>(netlist::CellKind::Input)] = 0x00;
+    table[static_cast<std::size_t>(netlist::CellKind::Dff)] = 0x00;
+    return table;
+}();
+
+/// Hands out consecutive, suitably aligned spans of one allocation.
+class Carver {
+public:
+    template <class T>
+    void reserve(std::size_t count) noexcept {
+        bytes_ = align<T>(bytes_) + count * sizeof(T);
+    }
+    void allocate(CompiledProgram& p) {
+        p.storage = std::make_unique_for_overwrite<std::byte[]>(bytes_);
+        base_ = p.storage.get();
+        bytes_ = 0;
+    }
+    template <class T>
+    [[nodiscard]] std::span<T> take(std::size_t count) noexcept {
+        bytes_ = align<T>(bytes_);
+        T* first = reinterpret_cast<T*>(base_ + bytes_);
+        bytes_ += count * sizeof(T);
+        return {first, count};
+    }
+
+private:
+    template <class T>
+    [[nodiscard]] static std::size_t align(std::size_t at) noexcept {
+        static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+        return (at + alignof(T) - 1) & ~(alignof(T) - 1);
+    }
+
+    std::size_t bytes_ = 0;
+    std::byte* base_ = nullptr;
+};
 
 std::shared_ptr<const CompiledProgram> build_program(const netlist::Netlist& nl,
                                                      const DelayModel& dm,
                                                      const SimOptions& options,
                                                      std::uint64_t key) {
+    using Edge = CompiledProgram::FanoutEdge;
+    using Flop = CompiledProgram::FlopInfo;
+    const std::size_t n = nl.size();
+    // Every pin is exactly one fanout edge of its driver.
+    std::size_t n_pins = 0;
+    for (const netlist::Cell& cell : nl.cells())
+        n_pins += netlist::pin_count(cell.kind);
+
     auto prog = std::make_shared<CompiledProgram>();
     CompiledProgram& p = *prog;
-    const std::size_t n = nl.size();
+    Carver carver;
+    carver.reserve<std::uint32_t>(n + 1);  // pin_base
+    carver.reserve<std::uint32_t>(n);      // gate_ps
+    carver.reserve<std::uint32_t>(n + 1);  // fanout_begin
+    carver.reserve<Edge>(n_pins);
+    carver.reserve<Flop>(nl.flops().size());
+    carver.reserve<netlist::CellKind>(n);
+    carver.reserve<std::uint8_t>(n);  // settle_one
+    carver.allocate(p);
+    const auto pin_base = carver.take<std::uint32_t>(n + 1);
+    const auto gate_ps = carver.take<std::uint32_t>(n);
+    const auto fanout_begin = carver.take<std::uint32_t>(n + 1);
+    const auto fanout = carver.take<Edge>(n_pins);
+    const auto flops = carver.take<Flop>(nl.flops().size());
+    const auto kind = carver.take<netlist::CellKind>(n);
+    const auto settle_one = carver.take<std::uint8_t>(n);
+
     p.key = key;
     p.n_cells = n;
-    p.kind.resize(n);
-    p.pins.resize(n);
-    p.in.assign(n * 3, netlist::kNoNet);
-    p.gate_ps.resize(n);
-    p.inertial_window.resize(n);
-    p.settle_one.assign(n, 0);
-    p.fanout_begin.assign(n + 1, 0);
     p.clk_to_q = dm.clk_to_q();
     p.max_ctrl_group = nl.max_ctrl_group();
     p.inertial_filtering = options.inertial_filtering;
+    p.inertial_factor = options.inertial_factor;
 
     std::uint32_t max_gate = 0;
     std::uint32_t max_wire = 0;
-    p.pin_base.assign(n + 1, 0);
+    std::size_t n_flops = 0;
+    pin_base[0] = 0;
+    fanout_begin[0] = 0;
     for (CellId id = 0; id < n; ++id) {
         const netlist::Cell& cell = nl.cell(id);
-        p.kind[id] = cell.kind;
+        kind[id] = cell.kind;
         const unsigned pins = netlist::pin_count(cell.kind);
-        p.pins[id] = static_cast<std::uint8_t>(pins);
-        p.pin_base[id + 1] = p.pin_base[id] + pins;
-        for (unsigned q = 0; q < pins; ++q) p.in[id * 3 + q] = cell.in[q];
-        p.gate_ps[id] = dm.gate_delay(id);
-        max_gate = std::max(max_gate, p.gate_ps[id]);
-        // Same rounding expression as the event engines so the inertial
-        // windows agree bit-for-bit.
-        p.inertial_window[id] = static_cast<TimePs>(
-            options.inertial_factor * static_cast<double>(dm.gate_delay(id)));
+        pin_base[id + 1] = pin_base[id] + pins;
+        gate_ps[id] = dm.gate_delay(id);
+        max_gate = std::max(max_gate, gate_ps[id]);
         if (cell.kind == netlist::CellKind::Dff)
-            p.flops.push_back({id, cell.enable, cell.reset});
+            flops[n_flops++] = {id, cell.enable, cell.reset};
 
         // All-sources-low steady state in creation order (topological for
         // combinational cells) -- identical to the event engines' settle.
-        std::uint8_t one = 0;
-        switch (cell.kind) {
-            case netlist::CellKind::Input:
-            case netlist::CellKind::Dff:
-            case netlist::CellKind::Const0:
-                one = 0;
-                break;
-            case netlist::CellKind::Const1:
-                one = 1;
-                break;
-            default: {
-                std::uint64_t a = 0, b = 0, c = 0;
-                if (pins > 0) a = p.settle_one[cell.in[0]] ? kAllLanes : 0;
-                if (pins > 1) b = p.settle_one[cell.in[1]] ? kAllLanes : 0;
-                if (pins > 2) c = p.settle_one[cell.in[2]] ? kAllLanes : 0;
-                one = netlist::eval_cell_word(cell.kind, a, b, c) != 0 ? 1 : 0;
-                break;
-            }
-        }
-        p.settle_one[id] = one;
-    }
+        unsigned row = 0;
+        for (unsigned q = 0; q < pins; ++q)
+            row |= unsigned{settle_one[cell.in[q]]} << q;
+        settle_one[id] = (kSettleTruth[static_cast<std::size_t>(cell.kind)] >>
+                          row) & 1u;
 
-    for (CellId id = 0; id < n; ++id)
-        p.fanout_begin[id + 1] =
-            p.fanout_begin[id] +
-            static_cast<std::uint32_t>(nl.fanout(id).size());
-    p.fanout.resize(p.fanout_begin[n]);
-    for (CellId id = 0; id < n; ++id) {
-        std::uint32_t out = p.fanout_begin[id];
+        std::uint32_t out = fanout_begin[id];
         for (const netlist::Sink& sink : nl.fanout(id)) {
             const std::uint32_t wire = dm.wire_delay(sink.cell, sink.pin);
             max_wire = std::max(max_wire, wire);
-            p.fanout[out++] = {sink.cell, sink.pin, wire};
+            fanout[out++] = {(std::uint32_t{sink.pin} << 24) | sink.cell, wire};
         }
+        fanout_begin[id + 1] = out;
     }
+
+    p.kind = kind;
+    p.pin_base = pin_base;
+    p.gate_ps = gate_ps;
+    p.settle_one = settle_one;
+    p.fanout_begin = fanout_begin;
+    p.fanout = fanout;
+    p.flops = flops;
 
     // Ring horizon: the longest push offset past `now` is one wire hop
     // plus one gate delay plus the clk-to-Q launch, with generous slack
@@ -172,7 +223,10 @@ std::shared_ptr<const CompiledProgram> compile_netlist(const netlist::Netlist& n
                                                        SimOptions options) {
     if (!nl.frozen())
         throw std::invalid_argument("compile_netlist: netlist not frozen");
-    const std::uint64_t key = program_key(nl, dm, options);
+    if (dm.size() != nl.size())
+        throw std::invalid_argument(
+            "compile_netlist: delay model built for another netlist");
+    const std::uint64_t key = program_key(nl, dm.config(), options);
     ProgramCache& cache = program_cache();
     std::lock_guard<std::mutex> lock(cache.mutex);
     for (std::size_t i = 0; i < cache.entries.size(); ++i) {
@@ -220,21 +274,42 @@ std::unique_ptr<CompiledEngineBase> make_compiled_engine(
 
 // ----- CompiledClockedSim ------------------------------------------------
 
-CompiledClockedSim::CompiledClockedSim(const netlist::Netlist& nl,
-                                       const DelayModel& dm, unsigned lanes,
-                                       ClockConfig clock,
-                                       CouplingConfig coupling,
-                                       SimOptions options)
-    : nl_(nl), clock_(clock), controls_(nl.max_ctrl_group()) {
+namespace {
+
+std::shared_ptr<const CompiledProgram> compile_uncoupled(
+    const netlist::Netlist& nl, const DelayModel& dm, CouplingConfig coupling,
+    SimOptions options) {
     if (coupling.timing_enabled)
         throw std::invalid_argument(
             "CompiledClockedSim: timing coupling makes delays data-dependent; "
             "lanes cannot share a compiled schedule -- use the scalar "
             "EventSimulator");
+    return compile_netlist(nl, dm, options);
+}
+
+}  // namespace
+
+CompiledClockedSim::CompiledClockedSim(const netlist::Netlist& nl,
+                                       const DelayModel& dm, unsigned lanes,
+                                       ClockConfig clock,
+                                       CouplingConfig coupling,
+                                       SimOptions options)
+    : CompiledClockedSim(nl, compile_uncoupled(nl, dm, coupling, options),
+                         lanes, clock) {}
+
+CompiledClockedSim::CompiledClockedSim(
+    const netlist::Netlist& nl, std::shared_ptr<const CompiledProgram> program,
+    unsigned lanes, ClockConfig clock)
+    : nl_(nl),
+      clock_(clock),
+      program_(std::move(program)),
+      controls_(nl.max_ctrl_group()) {
     if (!compiled_lane_width(lanes))
         throw std::invalid_argument(
             "CompiledClockedSim: lanes must be 64, 128, 256 or 512");
-    program_ = compile_netlist(nl, dm, options);
+    if (program_->n_cells != nl.size())
+        throw std::invalid_argument(
+            "CompiledClockedSim: program compiled from another netlist");
     engine_ = make_compiled_engine(program_, lanes / 64u);
 }
 

@@ -14,10 +14,13 @@
 //     the wire delay baked into each edge;
 //   * the time-slot ring: because every push is bounded by
 //     max(wire) + gate + bump slack picoseconds past the current time,
-//     events live in a power-of-two ring of FIFO time buckets instead of
+//     events live in a power-of-two ring of FIFO time slots instead of
 //     a priority queue.  Each push/pop is O(1); FIFO order within a
-//     bucket *is* (time, seq) order, so replay is exactly the event
-//     engine's schedule without the heap.  A tiny overflow heap catches
+//     slot *is* (time, seq) order, so replay is exactly the event
+//     engine's schedule without the heap.  The slots are linked lists
+//     (a head/tail pair each) threaded through one flat event pool with
+//     a free list, so an engine retains about its live-event peak rather
+//     than a vector's capacity per slot.  A tiny overflow heap catches
 //     pushes beyond the ring horizon (never hit by the clocked drivers;
 //     correctness never depends on the ring size).
 //
@@ -33,9 +36,10 @@
 // per chunk), so BatchPowerRecorder / BatchAttributionProbe work
 // unchanged.
 //
-// Programs are cached in a small process-wide LRU keyed by a structural
-// fingerprint of (cells, delays, SimOptions); campaign workers and blocks
-// share one immutable program (shared_ptr) instead of recompiling.
+// Programs are cached in a small process-wide LRU keyed by a word-wise
+// fingerprint of (cells, DelayConfig, SimOptions); a campaign compiles
+// once and its workers and blocks share one immutable program
+// (shared_ptr) instead of recompiling.
 //
 // Not supported (same rule as the batch engine): timing coupling makes
 // DelayBuf delays data-dependent, which breaks the shared-schedule
@@ -44,7 +48,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -65,14 +71,17 @@ inline constexpr unsigned kMaxLaneChunks = 8;
 }
 
 /// Immutable replay program for one (netlist, delay model, SimOptions)
-/// triple.  Everything the inner loop touches lives in flat arrays; the
-/// program holds no reference to the Netlist or DelayModel it was
-/// compiled from and is shared across engines via shared_ptr.
+/// triple.  Everything the inner loop touches lives in flat arrays -- one
+/// allocation (`storage`) carved into the spans below -- and the program
+/// holds no reference to the Netlist or DelayModel it was compiled from;
+/// engines share it via shared_ptr.
 struct CompiledProgram {
+    /// One sink of a net: the sink's packed (pin << 24) | cell id -- the
+    /// engine's event key, so a commit pushes it as is -- and the
+    /// DelayModel::wire_delay of that pin baked in.
     struct FanoutEdge {
-        CellId cell;
-        std::uint8_t pin;
-        std::uint32_t wire_ps;  // DelayModel::wire_delay baked in
+        std::uint32_t cell_pin;
+        std::uint32_t wire_ps;
     };
     struct FlopInfo {
         CellId cell;
@@ -80,37 +89,46 @@ struct CompiledProgram {
         netlist::CtrlGroup reset;
     };
 
+    CompiledProgram() = default;
+    CompiledProgram(const CompiledProgram&) = delete;
+    CompiledProgram& operator=(const CompiledProgram&) = delete;
+
     std::uint64_t key = 0;  // structural fingerprint (cache key)
     std::size_t n_cells = 0;
 
-    std::vector<netlist::CellKind> kind;
-    std::vector<std::uint8_t> pins;        // pin_count(kind)
-    std::vector<NetId> in;                 // 3 per cell (kNoNet padded)
-    std::vector<std::uint32_t> pin_base;   // CSR into the packed pin state
-                                           // (n_cells + 1; most cells have
-                                           // 1-2 pins, so packing nearly
-                                           // halves the engine's pin array)
-    std::vector<std::uint32_t> gate_ps;
-    std::vector<TimePs> inertial_window;   // same rounding as the event engines
-    std::vector<std::uint8_t> settle_one;  // all-sources-low steady state
-
-    std::vector<std::uint32_t> fanout_begin;  // CSR, n_cells + 1 entries
-    std::vector<FanoutEdge> fanout;
-    std::vector<FlopInfo> flops;
+    std::span<const netlist::CellKind> kind;
+    /// CSR into the packed pin state (n_cells + 1): cell c's pins are
+    /// [pin_base[c], pin_base[c + 1]).  Most cells have 1-2 pins, so
+    /// packing nearly halves the engine's pin array.
+    std::span<const std::uint32_t> pin_base;
+    std::span<const std::uint32_t> gate_ps;
+    std::span<const std::uint8_t> settle_one;  // all-sources-low steady state
+    std::span<const std::uint32_t> fanout_begin;  // CSR, n_cells + 1 entries
+    std::span<const FanoutEdge> fanout;
+    std::span<const FlopInfo> flops;
 
     std::uint32_t clk_to_q = 0;
     unsigned max_ctrl_group = 0;
     bool inertial_filtering = true;
+    /// SimOptions::inertial_factor; each engine derives its per-cell
+    /// inertial windows with the event engines' rounding expression.
+    double inertial_factor = 1.0;
 
     /// Time-slot ring size (power of two): covers the longest possible
     /// push offset (wire + gate + clk-to-Q + bump slack), so in practice
     /// every event lands in the ring.
     std::size_t ring_size = 0;
+
+    /// Backing store of every span above.
+    std::unique_ptr<std::byte[]> storage;
 };
 
 /// Compiles (or fetches from the process-wide LRU cache) the replay
-/// program for the triple.  Throws std::invalid_argument on an unfrozen
-/// netlist.
+/// program for the triple.  `dm` must have been built from `nl`: the
+/// cache key covers the netlist structure and dm.config(), not the drawn
+/// delays, which is sound because a DelayModel is immutable and a pure
+/// function of (netlist, DelayConfig).  Throws std::invalid_argument on
+/// an unfrozen netlist or a delay model of another size.
 [[nodiscard]] std::shared_ptr<const CompiledProgram> compile_netlist(
     const netlist::Netlist& nl, const DelayModel& dm, SimOptions options = {});
 
@@ -186,6 +204,11 @@ public:
     CompiledClockedSim(const netlist::Netlist& nl, const DelayModel& dm,
                        unsigned lanes, ClockConfig clock = {},
                        CouplingConfig coupling = {}, SimOptions options = {});
+    /// Runs an already compiled program (compile_netlist of `nl`), so
+    /// several engines share one compile and one cache lookup.
+    CompiledClockedSim(const netlist::Netlist& nl,
+                       std::shared_ptr<const CompiledProgram> program,
+                       unsigned lanes, ClockConfig clock = {});
 
     [[nodiscard]] unsigned chunks() const noexcept { return engine_->chunks(); }
 

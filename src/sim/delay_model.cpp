@@ -1,11 +1,21 @@
 #include "sim/delay_model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "support/rng.hpp"
+#include "support/simd.hpp"
 
 namespace glitchmask::sim {
+
+#if defined(GLITCHMASK_HAVE_AVX512)
+// sim/delay_draws_avx512.cpp
+namespace delay_draws_avx512 {
+void first_uniforms(std::uint64_t seed, const std::uint64_t* keys,
+                    std::size_t count, double* out);
+}
+#endif
 
 DelayConfig DelayConfig::spartan6() {
     DelayConfig config;
@@ -39,46 +49,96 @@ DelayConfig DelayConfig::deterministic() {
     return config;
 }
 
+namespace {
+
+/// out[i] = Xoshiro256::first_uniform(mix64(seed, keys[i])): the first
+/// uniform of the Xoshiro256 stream of each key.
+using DrawsFn = void (*)(std::uint64_t seed, const std::uint64_t* keys,
+                         std::size_t count, double* out);
+
+void first_uniforms(std::uint64_t seed, const std::uint64_t* keys,
+                    std::size_t count, double* out) {
+    for (std::size_t i = 0; i < count; ++i)
+        out[i] = Xoshiro256::first_uniform(mix64(seed, keys[i]));
+}
+
+/// The batched draws at the active SIMD level (bit-identical at every
+/// level: the vector form is integer arithmetic plus an exact scaling).
+DrawsFn pick_draws() {
+#if defined(GLITCHMASK_HAVE_AVX512)
+    if (support::active_simd_level() >= support::SimdLevel::kAvx512 &&
+        __builtin_cpu_supports("avx512dq"))
+        return delay_draws_avx512::first_uniforms;
+#endif
+    return first_uniforms;
+}
+
+constexpr std::uint64_t kGateStream = 0x6761746564656cULL;
+constexpr std::uint64_t kWireStream = 0x77697265ULL;
+
+}  // namespace
+
 DelayModel::DelayModel(const Netlist& nl, const DelayConfig& config)
     : config_(config) {
     if (config.wire_max_ps < config.wire_min_ps)
         throw std::runtime_error("DelayModel: wire_max < wire_min");
 
-    gate_ps_.resize(nl.size());
-    wire_ps_.resize(nl.size() * 3, 0);
+    const std::size_t n = nl.size();
+    delays_.assign(n * 4, 0);
+    const double wire_lo = static_cast<double>(config.wire_min_ps);
+    const double wire_span =
+        static_cast<double>(config.wire_max_ps) + 1.0 - wire_lo;
 
-    for (CellId id = 0; id < nl.size(); ++id) {
-        const CellKind kind = nl.cell(id).kind;
-        const std::uint32_t nominal =
-            config.nominal_ps[static_cast<std::size_t>(kind)];
-        const double jitter = (kind == CellKind::DelayBuf)
-                                  ? config.delaybuf_jitter
-                                  : config.gate_jitter;
-        Xoshiro256 rng(mix64(config.seed, 0x6761746564656cULL ^ id));
-        const double factor = 1.0 + jitter * rng.uniform(-1.0, 1.0);
-        gate_ps_[id] = static_cast<std::uint32_t>(
-            std::max(1.0, static_cast<double>(nominal) * factor));
-        if (nominal == 0) gate_ps_[id] = 0;
-
-        // Routing delay of each incoming edge.  DelayBuf chain internal
-        // edges are short, hand-routed hops: give them the minimum wire
-        // delay plus the (small) DelayBuf jitter, not the full placement
-        // spread.
-        const unsigned pins = netlist::pin_count(kind);
-        for (unsigned p = 0; p < pins; ++p) {
-            Xoshiro256 wire_rng(mix64(config.seed, 0x77697265ULL ^ (id * 3ull + p)));
-            const bool short_hop =
-                kind == CellKind::DelayBuf &&
-                nl.cell(nl.cell(id).in[p]).kind == CellKind::DelayBuf;
-            std::uint32_t wire = 0;
-            if (short_hop) {
-                wire = config.wire_min_ps;
-            } else {
-                wire = static_cast<std::uint32_t>(wire_rng.uniform(
-                    static_cast<double>(config.wire_min_ps),
-                    static_cast<double>(config.wire_max_ps) + 1.0));
+    // Every draw is the first uniform of its own Xoshiro256 stream, seeded
+    // mix64(seed, key) with the key naming the instance: a gate, or one
+    // (cell, pin) routing edge.  The draws go in batches: one walk over a
+    // chunk of cells gathers each draw's key and destination, the batch is
+    // drawn at once (vectorised where the CPU allows), and a second loop
+    // turns each uniform into its delay.
+    constexpr std::size_t kChunk = 64;  // cells per batch
+    std::array<std::uint64_t, 4 * kChunk> keys;
+    std::array<std::uint32_t, 4 * kChunk> dest;  // index into delays_
+    std::array<double, 4 * kChunk> u;
+    const DrawsFn draws = pick_draws();
+    for (std::size_t base = 0; base < n; base += kChunk) {
+        std::size_t k = 0;
+        for (CellId id = static_cast<CellId>(base);
+             id < std::min(n, base + kChunk); ++id) {
+            const netlist::Cell& cell = nl.cell(id);
+            if (config.nominal_ps[static_cast<std::size_t>(cell.kind)] != 0) {
+                keys[k] = kGateStream ^ id;
+                dest[k++] = id * 4;
             }
-            wire_ps_[id * 3 + p] = wire;
+            // DelayBuf chain internal edges are short, hand-routed hops:
+            // they get the minimum wire delay, not the placement spread.
+            const unsigned pins = netlist::pin_count(cell.kind);
+            for (unsigned p = 0; p < pins; ++p) {
+                if (cell.kind == CellKind::DelayBuf &&
+                    nl.cell(cell.in[p]).kind == CellKind::DelayBuf) {
+                    delays_[id * 4 + 1 + p] = config.wire_min_ps;
+                } else {
+                    keys[k] = kWireStream ^ (id * 3ull + p);
+                    dest[k++] = id * 4 + 1 + p;
+                }
+            }
+        }
+        draws(config.seed, keys.data(), k, u.data());
+        for (std::size_t j = 0; j < k; ++j) {
+            const std::uint32_t at = dest[j];
+            if (at % 4 != 0) {  // a routing edge
+                delays_[at] =
+                    static_cast<std::uint32_t>(wire_lo + wire_span * u[j]);
+                continue;
+            }
+            const CellKind kind = nl.cell(at / 4).kind;
+            const double nominal = static_cast<double>(
+                config.nominal_ps[static_cast<std::size_t>(kind)]);
+            const double jitter = (kind == CellKind::DelayBuf)
+                                      ? config.delaybuf_jitter
+                                      : config.gate_jitter;
+            const double factor = 1.0 + jitter * (-1.0 + 2.0 * u[j]);
+            delays_[at] =
+                static_cast<std::uint32_t>(std::max(1.0, nominal * factor));
         }
     }
 }
@@ -93,8 +153,9 @@ CriticalPath analyze_timing(const Netlist& nl, const DelayModel& dm) {
     for (const CellId id : nl.inputs()) arrival[id] = dm.clk_to_q();
     for (const CellId id : nl.flops()) arrival[id] = dm.clk_to_q();
 
-    for (const CellId id : nl.topo_order()) {
+    for (CellId id = 0; id < nl.size(); ++id) {
         const netlist::Cell& cell = nl.cell(id);
+        if (netlist::is_source(cell.kind)) continue;
         const unsigned pins = netlist::pin_count(cell.kind);
         TimePs latest = 0;
         CellId from = netlist::kNoNet;

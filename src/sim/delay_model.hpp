@@ -65,25 +65,29 @@ struct DelayConfig {
     [[nodiscard]] static DelayConfig deterministic();
 };
 
+/// The static delays of one netlist.  A DelayModel has no mutators: it is
+/// a pure function of (netlist, DelayConfig), drawn once at construction.
+/// The compiled engine's program cache relies on that -- it keys programs
+/// by the netlist structure and config(), not by the drawn delays.
 class DelayModel {
 public:
     DelayModel(const Netlist& nl, const DelayConfig& config);
 
     [[nodiscard]] std::uint32_t gate_delay(CellId id) const noexcept {
-        return gate_ps_[id];
+        return delays_[id * 4];
     }
     [[nodiscard]] std::uint32_t wire_delay(CellId cell, unsigned pin) const noexcept {
-        return wire_ps_[cell * 3 + pin];
+        return delays_[cell * 4 + 1 + pin];
     }
     [[nodiscard]] std::uint32_t clk_to_q() const noexcept { return config_.clk_to_q_ps; }
     [[nodiscard]] std::uint32_t setup() const noexcept { return config_.setup_ps; }
     [[nodiscard]] const DelayConfig& config() const noexcept { return config_; }
-    [[nodiscard]] std::size_t size() const noexcept { return gate_ps_.size(); }
+    [[nodiscard]] std::size_t size() const noexcept { return delays_.size() / 4; }
 
 private:
     DelayConfig config_;
-    std::vector<std::uint32_t> gate_ps_;
-    std::vector<std::uint32_t> wire_ps_;
+    /// Per cell: the gate delay, then the wire delay of pins 0..2.
+    std::vector<std::uint32_t> delays_;
 };
 
 /// Static timing analysis result.

@@ -44,9 +44,14 @@ std::uint64_t ZeroDelaySim::read_bus(const Bus& bus) const {
 }
 
 void ZeroDelaySim::settle() {
-    for (const netlist::CellId id : nl_.topo_order()) {
+    // Creation order is topological for combinational cells; inputs and
+    // flops hold state, constants settle to their value.
+    for (netlist::CellId id = 0; id < nl_.size(); ++id) {
         const netlist::Cell& cell = nl_.cell(id);
         switch (cell.kind) {
+            case netlist::CellKind::Input:
+            case netlist::CellKind::Dff:
+                break;
             case netlist::CellKind::Const0:
                 values_[id] = 0;
                 break;

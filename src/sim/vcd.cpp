@@ -43,7 +43,7 @@ void VcdWriter::write_header(const netlist::Netlist& nl) {
     for (std::size_t i = 0; i < watch_.size(); ++i) {
         const netlist::NetId id = watch_[i];
         codes_[id] = vcd_code(i);
-        std::string name = nl.name(id);
+        std::string name(nl.name(id));
         if (name.empty()) name = "n" + std::to_string(id);
         for (char& c : name)
             if (c == ' ') c = '_';
@@ -51,7 +51,7 @@ void VcdWriter::write_header(const netlist::Netlist& nl) {
     }
     if (marker_.net != netlist::kNoNet) {
         marker_code_ = vcd_code(watch_.size());
-        std::string name = nl.name(marker_.net);
+        std::string name(nl.name(marker_.net));
         if (name.empty()) name = "n" + std::to_string(marker_.net);
         for (char& c : name)
             if (c == ' ') c = '_';

@@ -8,7 +8,7 @@
 //                         equivalent to GLITCHMASK_ATTRIBUTION=1)
 //   --top-k <n>           culprit-table depth (implies nothing by itself;
 //                         only read when attribution is on)
-//   --backend <name>      simulation backend: event (default) or compiled
+//   --backend <name>      simulation backend: compiled (default) or event
 //                         (equivalent to GLITCHMASK_BACKEND=name)
 // Parsing exits with usage on anything unrecognised, so binaries that take
 // no other arguments stay strict about typos.  Binaries with positional

@@ -81,6 +81,18 @@ public:
         return lo + (hi - lo) * uniform();
     }
 
+    /// Xoshiro256(seed).uniform() without building the generator: the
+    /// first xoshiro256++ output reads only state words 0 and 3, i.e. the
+    /// first and fourth SplitMix64 words of `seed`.
+    [[nodiscard]] static constexpr double first_uniform(
+        std::uint64_t seed) noexcept {
+        std::uint64_t sm = seed;
+        const std::uint64_t s0 = splitmix64(sm);
+        sm = seed + 3 * 0x9e3779b97f4a7c15ULL;
+        const std::uint64_t s3 = splitmix64(sm);
+        return static_cast<double>((rotl(s0 + s3, 23) + s0) >> 11) * 0x1.0p-53;
+    }
+
     /// Uniform integer in [0, n).  n must be > 0.  Uses Lemire rejection.
     [[nodiscard]] std::uint64_t below(std::uint64_t n) noexcept;
 

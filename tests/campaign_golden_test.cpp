@@ -10,11 +10,11 @@
 // 128-lane compiled engine; the backend is set explicitly so the
 // GLITCHMASK_BACKEND environment cannot redirect a row.
 //
-// The scalar and event rows share every constant (same fingerprint, same
-// statistics); the compiled rows share the statistics but not the
-// snapshot digest, because the compiled backend folds a tag into the
-// snapshot's fingerprint.  These constants are never re-baselined by a
-// refactor: a change that moves one is a change of results.
+// Every row of a kind shares every constant, the snapshot digest
+// included: the engines are bit-identical and neither the backend nor the
+// lane width folds into the snapshot's fingerprint.  These constants are
+// never re-baselined by a refactor: a change that moves one is a change
+// of results.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -119,8 +119,7 @@ void checkpoint_every_block(CampaignRunOptions& run, const std::string& path) {
 TEST(CampaignGolden, SequenceTvla) {
     const core::InputSequence sequence{core::ShareId::X0, core::ShareId::Y0,
                                        core::ShareId::X1, core::ShareId::Y1};
-    const std::string snapshot[] = {"6dc1c81e6ba162c6", "6dc1c81e6ba162c6",
-                                    "eb8c8f7ca7aa960c"};
+    const std::string snapshot = "6dc1c81e6ba162c6";
     for (const Row& row : kRows) {
         SCOPED_TRACE(trace_label(row));
         SequenceExperimentConfig config;
@@ -139,15 +138,13 @@ TEST(CampaignGolden, SequenceTvla) {
         EXPECT_EQ(bits(r.max_abs_t2), "4019a768ce3e7dfc");
         EXPECT_EQ(r.completed_traces, 200u);
         if (row.snapshots) {
-            EXPECT_EQ(snapshot_digest(path),
-                      snapshot[static_cast<int>(row.engine)]);
+            EXPECT_EQ(snapshot_digest(path), snapshot);
         }
     }
 }
 
 TEST(CampaignGolden, GadgetTrichinaWithAttribution) {
-    const std::string snapshot[] = {"c85d49708cdc43d2", "c85d49708cdc43d2",
-                                    "13e8383fdd50e546"};
+    const std::string snapshot = "c85d49708cdc43d2";
     for (const Row& row : kRows) {
         SCOPED_TRACE(trace_label(row));
         GadgetTvlaConfig config;
@@ -178,16 +175,14 @@ TEST(CampaignGolden, GadgetTrichinaWithAttribution) {
                 << "rank " << i;
         }
         if (row.snapshots) {
-            EXPECT_EQ(snapshot_digest(path),
-                      snapshot[static_cast<int>(row.engine)]);
+            EXPECT_EQ(snapshot_digest(path), snapshot);
         }
     }
 }
 
 TEST(CampaignGolden, DesTvla) {
     const des::MaskedDesCore core(des::MaskedDesOptions{});
-    const std::string snapshot[] = {"12de2af1c7ffb56f", "12de2af1c7ffb56f",
-                                    "e7e205f51ef3910e"};
+    const std::string snapshot = "12de2af1c7ffb56f";
     for (const Row& row : kRows) {
         SCOPED_TRACE(trace_label(row));
         DesTvlaConfig config;
@@ -207,16 +202,14 @@ TEST(CampaignGolden, DesTvla) {
         EXPECT_EQ(r.toggles, 14686308u);
         EXPECT_EQ(r.completed_traces, 100u);
         if (row.snapshots) {
-            EXPECT_EQ(snapshot_digest(path),
-                      snapshot[static_cast<int>(row.engine)]);
+            EXPECT_EQ(snapshot_digest(path), snapshot);
         }
     }
 }
 
 TEST(CampaignGolden, MeanPower) {
     const des::MaskedDesCore core(des::MaskedDesOptions{});
-    const std::string snapshot[] = {"bd9a6c1f1e2d2325", "bd9a6c1f1e2d2325",
-                                    "ffd1a7b5159ed15c"};
+    const std::string snapshot = "bd9a6c1f1e2d2325";
     for (const Row& row : kRows) {
         SCOPED_TRACE(trace_label(row));
         CampaignRunOptions run;
@@ -233,8 +226,7 @@ TEST(CampaignGolden, MeanPower) {
                   "4863c6cf704444f2");
         EXPECT_EQ(progress.completed_traces, 80u);
         if (row.snapshots) {
-            EXPECT_EQ(snapshot_digest(path),
-                      snapshot[static_cast<int>(row.engine)]);
+            EXPECT_EQ(snapshot_digest(path), snapshot);
         }
     }
 }

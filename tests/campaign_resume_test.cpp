@@ -191,10 +191,10 @@ TEST(CampaignResume, SigintViaScopedSignalCancelStopsGracefully) {
 TEST(CampaignResume, ResumeAcrossLaneConfigsIsBitIdentical) {
     // A snapshot written by the scalar engine must seed the bitsliced one
     // (and vice versa): lanes are absent from the fingerprint because the
-    // two paths are proven bit-identical.  The backend is pinned: this
-    // test is about the event engine's lane axis, and must not flip to
-    // the compiled backend (a fingerprint change by design) when the
-    // suite runs under GLITCHMASK_BACKEND=compiled.
+    // two paths are proven bit-identical.  The backend is pinned to the
+    // event engine because this test is about its lane axis (scalar and
+    // 64-lane bitsliced); the compiled default and the switch between
+    // backends are covered by CompiledSim.BackendSwitchOnResumeIsBitIdentical.
     const des::MaskedDesCore core(des::MaskedDesOptions{});
     const std::string path = temp_snapshot("lanes.gmsnap");
 

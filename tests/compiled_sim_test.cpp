@@ -8,8 +8,11 @@
 // energy coupling on where the gadget has coupled pairs.  On top of the
 // engine-level checks, the campaign drivers must be bit-identical across
 // backend={event,compiled} (TVLA t-curves, attribution rankings), a
-// checkpoint written under one backend must refuse to resume under the
-// other, and the process-wide program cache must actually share programs.
+// checkpoint written under one backend must resume under the other to
+// the uninterrupted result, the time-slot ring must replay events that
+// wait past its horizon in (time, seq) order, and the process-wide
+// program cache must share programs exactly when (netlist, DelayConfig,
+// SimOptions) match.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,7 +34,6 @@
 #include "sim/compiled_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "support/atomic_file.hpp"
-#include "support/campaign_error.hpp"
 #include "support/cancel.hpp"
 #include "support/rng.hpp"
 
@@ -266,6 +268,83 @@ TEST(CompiledSim, EnergyCouplingEquivalence) {
     expect_compiled_equivalence(eval::GadgetKind::Pd, true, 0.25);
 }
 
+TEST(CompiledSim, EventsPastTheRingHorizonReplayInSeqOrder) {
+    // Drives parked past the ring horizon wait in the overflow heap.  Once
+    // time nears them, later drives land directly in the same time slots;
+    // the parked events must migrate in front of those (smaller seq), so
+    // every lane still commits the scalar engine's (time, seq) order.
+    // Each source is driven twice at the same instant with independent
+    // values, so a wrong order changes the committed waveform.
+    Harness h = build(eval::GadgetKind::Pd, 2);
+    const sim::DelayModel dm(h.nl, sim::DelayConfig::spartan6());
+    const auto program = sim::compile_netlist(h.nl, dm);
+    // Far enough that the early drives settle long before `far` comes
+    // within one ring of the current time.
+    const TimePs far = 64 * static_cast<TimePs>(program->ring_size);
+
+    std::vector<NetId> sources(h.nl.inputs().begin(), h.nl.inputs().end());
+    sources.insert(sources.end(), h.nl.flops().begin(), h.nl.flops().end());
+    struct Drive {
+        NetId net;
+        TimePs time;
+        std::uint64_t words[kChunks];
+    };
+    Xoshiro256 rng(99);
+    const auto drive_at = [&rng](NetId net, TimePs time) {
+        Drive d{net, time, {}};
+        for (auto& word : d.words) word = rng();
+        return d;
+    };
+    std::vector<Drive> early, parked, late;
+    for (std::size_t k = 0; k < sources.size(); ++k) {
+        early.push_back(drive_at(sources[k], 50 + 13 * k));
+        if (k % 2 == 0) parked.push_back(drive_at(sources[k], far + 11 * k));
+    }
+    for (std::size_t k = 0; k < sources.size(); ++k)
+        late.push_back(drive_at(sources[k], far + 11 * k));
+    const TimePs pause = far - 200;  // every parked event still past it
+
+    const auto run_scalar = [&](unsigned lane) {
+        sim::EventSimulator scalar(h.nl, dm);
+        ScalarTee tee;
+        scalar.set_sink(&tee);
+        scalar.initialize();
+        const auto apply = [&](const std::vector<Drive>& drives) {
+            for (const Drive& d : drives)
+                scalar.drive(d.net, ((d.words[lane / 64] >> (lane % 64)) & 1u) != 0,
+                             d.time);
+        };
+        apply(early);
+        apply(parked);
+        scalar.run_until(pause);
+        apply(late);
+        scalar.run_to_quiescence();
+        return tee.records;
+    };
+
+    auto engine = sim::make_compiled_engine(program, kChunks);
+    std::vector<ChunkTee> tees(kChunks);
+    for (unsigned c = 0; c < kChunks; ++c) engine->set_sink(c, &tees[c]);
+    engine->initialize();
+    const auto apply = [&](const std::vector<Drive>& drives) {
+        for (const Drive& d : drives)
+            for (unsigned c = 0; c < kChunks; ++c)
+                engine->drive_chunk(d.net, c, d.words[c], sim::kAllLanes, d.time);
+    };
+    apply(early);
+    apply(parked);
+    engine->run_until(pause);
+    apply(late);
+    engine->run_to_quiescence();
+
+    for (unsigned lane = 0; lane < kLanes; ++lane) {
+        SCOPED_TRACE("lane " + std::to_string(lane));
+        const std::vector<ToggleRec> expected = run_scalar(lane);
+        ASSERT_GT(expected.size(), sources.size());  // not vacuous
+        EXPECT_EQ(tees[lane / 64u].lane(lane % 64u), expected);
+    }
+}
+
 TEST(CompiledSim, GadgetCampaignWithAttributionBitIdentical) {
     // Driver-level identity on the attribution engine's primary workload:
     // the full TVLA statistics AND the per-net attribution report (ranked
@@ -329,10 +408,10 @@ TEST(CompiledSim, DesTvlaMatchesScalarBitForBit) {
     }
 }
 
-TEST(CompiledSim, BackendSwitchOnResumeIsConfigMismatch) {
-    // The compiled backend folds a tag into the campaign fingerprint, so
-    // a checkpoint written under one backend must refuse to resume under
-    // the other instead of silently mixing payload layouts.
+TEST(CompiledSim, BackendSwitchOnResumeIsBitIdentical) {
+    // Neither the backend nor the lane width folds into the campaign
+    // fingerprint -- every engine is ==, so a checkpoint written under one
+    // backend resumes under the other to exactly the uninterrupted result.
     const des::MaskedDesCore core(des::MaskedDesOptions{});
     const std::string path =
         ::testing::TempDir() + "glitchmask_backend_switch.gmsnap";
@@ -350,6 +429,10 @@ TEST(CompiledSim, BackendSwitchOnResumeIsConfigMismatch) {
         return config;
     };
 
+    eval::DesTvlaConfig plain = base_config();
+    plain.run.checkpoint_path.clear();
+    const eval::DesTvlaResult baseline = eval::run_des_tvla(core, plain);
+
     for (const auto& [first, second] :
          {std::pair<const char*, const char*>{"event", "compiled"},
           std::pair<const char*, const char*>{"compiled", "event"}}) {
@@ -366,25 +449,23 @@ TEST(CompiledSim, BackendSwitchOnResumeIsConfigMismatch) {
         };
         const eval::DesTvlaResult partial = eval::run_des_tvla(core, cfg);
         ASSERT_TRUE(partial.cancelled);
+        ASSERT_LT(partial.completed_traces, cfg.traces);
         ASSERT_TRUE(read_file_if_exists(path).has_value());
 
         eval::DesTvlaConfig other = base_config();
         other.run.backend = second;
-        try {
-            (void)eval::run_des_tvla(core, other);
-            FAIL() << "backend switch accepted on resume";
-        } catch (const CampaignError& e) {
-            EXPECT_EQ(e.kind(), CampaignErrorKind::ConfigMismatch);
-        }
-
-        // Same backend resumes fine and completes the campaign -- at a
-        // different lane width, which is never part of the fingerprint.
-        eval::DesTvlaConfig same = base_config();
-        same.run.backend = first;
-        same.lanes = first_compiled ? 512 : 0;
-        const eval::DesTvlaResult resumed = eval::run_des_tvla(core, same);
+        other.lanes = first_compiled ? 0 : 512;
+        const eval::DesTvlaResult resumed = eval::run_des_tvla(core, other);
         EXPECT_TRUE(resumed.resumed);
-        EXPECT_EQ(resumed.completed_traces, same.traces);
+        EXPECT_EQ(resumed.completed_traces, other.traces);
+        EXPECT_EQ(resumed.toggles, baseline.toggles);
+        for (int order = 1; order <= 3; ++order) {
+            const std::vector<double> tb = baseline.campaign.t_curve(order);
+            const std::vector<double> tr = resumed.campaign.t_curve(order);
+            ASSERT_EQ(tb.size(), tr.size());
+            for (std::size_t i = 0; i < tb.size(); ++i)
+                EXPECT_EQ(tb[i], tr[i]) << "order " << order << " sample " << i;
+        }
     }
     std::remove(path.c_str());
 }
@@ -444,6 +525,63 @@ TEST(CompiledSim, ProgramCacheSharesCompiledPrograms) {
     EXPECT_EQ(after.entries, 2u);
     EXPECT_EQ(after.misses, before.misses + 2);
     EXPECT_GE(after.hits, before.hits + 1);
+}
+
+TEST(CompiledSim, ProgramCacheKeysOnStructureAndDelayConfig) {
+    // A DelayModel is a pure function of (netlist, DelayConfig), so the
+    // cache keys on those: a second model drawn from the same pair hits,
+    // and any change of the config or of the wiring misses.
+    Harness h = build(eval::GadgetKind::Trichina, 4);
+    const sim::DelayConfig base = sim::DelayConfig::spartan6();
+    sim::clear_compiled_program_cache();
+    const auto first = sim::compile_netlist(h.nl, sim::DelayModel(h.nl, base));
+    EXPECT_EQ(sim::compile_netlist(h.nl, sim::DelayModel(h.nl, base)).get(),
+              first.get());
+    EXPECT_EQ(sim::compiled_program_cache_stats().hits, 1u);
+
+    const auto misses = [&first](const netlist::Netlist& nl,
+                                 const sim::DelayConfig& config) {
+        return sim::compile_netlist(nl, sim::DelayModel(nl, config)).get() !=
+               first.get();
+    };
+    sim::DelayConfig seed = base;
+    seed.seed += 1;
+    EXPECT_TRUE(misses(h.nl, seed));
+    sim::DelayConfig wire = base;
+    wire.wire_max_ps -= 1;
+    EXPECT_TRUE(misses(h.nl, wire));
+    sim::DelayConfig nominal = base;
+    ++nominal.nominal_ps[static_cast<std::size_t>(
+        h.nl.cell(static_cast<NetId>(h.nl.size() - 1)).kind)];
+    EXPECT_TRUE(misses(h.nl, nominal));
+    EXPECT_FALSE(misses(h.nl, base));
+
+    // Same size, same kinds, same delays (deterministic config): only one
+    // input of one gate is rewired.
+    const auto wired = [](bool rewire) {
+        netlist::Netlist nl;
+        const NetId x = nl.input("x");
+        const NetId y = nl.input("y");
+        const NetId z = nl.input("z");
+        const NetId g = nl.and2(x, rewire ? z : y);
+        (void)nl.xor2(g, z);
+        nl.freeze();
+        return nl;
+    };
+    const netlist::Netlist a = wired(false);
+    const netlist::Netlist b = wired(true);
+    const sim::DelayConfig flat = sim::DelayConfig::deterministic();
+    const auto pa = sim::compile_netlist(a, sim::DelayModel(a, flat));
+    const auto pb = sim::compile_netlist(b, sim::DelayModel(b, flat));
+    EXPECT_NE(pa.get(), pb.get());
+    EXPECT_NE(pa->key, pb->key);
+    // y feeds the AND gate in `a` only.
+    EXPECT_EQ(pa->fanout_begin[2] - pa->fanout_begin[1], 1u);
+    EXPECT_EQ(pb->fanout_begin[2] - pb->fanout_begin[1], 0u);
+
+    const sim::CompiledCacheStats stats = sim::compiled_program_cache_stats();
+    EXPECT_EQ(stats.hits, 2u);
+    EXPECT_EQ(stats.misses, 6u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "netlist/area.hpp"
@@ -48,7 +49,9 @@ TEST(Netlist, BuildsAndFreezes) {
     EXPECT_EQ(nl.fanout(x).size(), 1u);
     EXPECT_EQ(nl.fanout(x)[0].cell, y);
     EXPECT_EQ(nl.fanout(x)[0].pin, 1u);
-    EXPECT_EQ(nl.topo_order().size(), 2u);
+    EXPECT_EQ(std::count_if(nl.cells().begin(), nl.cells().end(),
+                            [](const Cell& cell) { return !is_source(cell.kind); }),
+              2);
     EXPECT_EQ(nl.name(x), "x");
 }
 

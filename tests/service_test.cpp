@@ -891,6 +891,30 @@ TEST_F(ServiceTest, DrainPersistsUnfinishedWorkAndARestartFinishesIt) {
     restarted.shutdown(false);
 }
 
+TEST_F(ServiceTest, StateFileEntryThatFailsToDecodeCostsOnlyItself) {
+    // A state file saved on a host with more hardware threads can hold a
+    // `workers` above this host's cap: that entry is skipped with a
+    // warning, the entries after it are still re-admitted, and the file is
+    // consumed as usual.
+    const std::string state =
+        ::testing::TempDir() + "glitchmask_svc_state_partial";
+    CampaignRequest too_wide = small_gadget_request(173);
+    too_wide.workers = 1u << 20;
+    const std::string text = "{\"requests\":[" +
+                             encode_request(small_gadget_request(172)) + "," +
+                             encode_request(too_wide) + "," +
+                             encode_request(small_gadget_request(174)) + "]}";
+    atomic_write_file(state, text);
+
+    CampaignService svc(service_config(1, {}, state));
+    EXPECT_EQ(svc.load_state(), 2u);
+    EXPECT_FALSE(spool_file_exists(state));
+    svc.wait_idle();
+    EXPECT_EQ(svc.stats().executed, 2u);
+    EXPECT_EQ(svc.stats().failed, 0u);
+    svc.shutdown(false);
+}
+
 // ----- checkpoint I/O failure taxonomy (driver level) --------------------
 
 class CheckpointFailureTest : public ::testing::Test {

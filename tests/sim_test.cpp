@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
+#include "des/masked_des.hpp"
+#include "eval/gadget_tvla.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/netlist.hpp"
 #include "power/power_model.hpp"
@@ -67,6 +72,21 @@ TEST(ZeroDelay, FullAdderExhaustive) {
         const unsigned total = (v & 1) + ((v >> 1) & 1) + ((v >> 2) & 1);
         EXPECT_EQ(sim.value(fa.sum), (total & 1) != 0) << "v=" << v;
         EXPECT_EQ(sim.value(fa.cout), total >= 2) << "v=" << v;
+    }
+}
+
+TEST(ZeroDelay, ConstantsSettleToTheirValue) {
+    Netlist nl;
+    const NetId a = nl.input("a");
+    const NetId pass = nl.and2(a, nl.const1());
+    const NetId zero = nl.and2(a, nl.const0());
+    nl.freeze();
+    ZeroDelaySim sim(nl);
+    for (const bool v : {false, true}) {
+        sim.set_input(a, v);
+        sim.step();
+        EXPECT_EQ(sim.value(pass), v);
+        EXPECT_FALSE(sim.value(zero));
     }
 }
 
@@ -396,6 +416,53 @@ TEST(Power, FanoutIncreasesWeight) {
     sim.run_to_quiescence();
     // a toggle: 1 + 0.5*3; three inverter toggles: 3 * (1 + 0).
     EXPECT_NEAR(recorder.trace()[0], 2.5 + 3.0, 1e-9);
+}
+
+/// FNV-1a 64 over every gate delay and the three wire delays of every
+/// cell, as little-endian u32s, in cell order.
+std::string delay_digest(const Netlist& nl, std::uint64_t seed) {
+    DelayConfig config = DelayConfig::spartan6();
+    config.seed = seed;
+    const DelayModel dm(nl, config);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto add = [&h](std::uint32_t v) {
+        for (int byte = 0; byte < 4; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xFFu;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (netlist::CellId id = 0; id < nl.size(); ++id) {
+        add(dm.gate_delay(id));
+        for (unsigned pin = 0; pin < 3; ++pin) add(dm.wire_delay(id, pin));
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+    return buf;
+}
+
+TEST(DelayModelGolden, EveryDrawIsPinned) {
+    // Every gate and wire delay of the DES FF core and of the secAND2-PD
+    // campaign harness under four placement seeds.  The constants were
+    // taken before the draws were computed in closed form; a change that
+    // moves one moves every simulated waveform.
+    const des::MaskedDesCore core;
+    const eval::GadgetHarness harness(eval::GadgetKind::Pd, 16, 1);
+    struct Pin {
+        std::uint64_t seed;
+        const char* des;
+        const char* gadget;
+    };
+    constexpr Pin kPins[] = {
+        {1, "ba882c803078b98d", "c5638dd05e307994"},
+        {2, "a8db270a0c65c3d2", "7c465190435a86ed"},
+        {77, "bdbb152624d557c3", "be2d6ca3828959bc"},
+        {0xdeadbeef, "f93bed5857de10a5", "b8c9b23af04a5b56"},
+    };
+    for (const Pin& pin : kPins) {
+        SCOPED_TRACE("seed " + std::to_string(pin.seed));
+        EXPECT_EQ(delay_digest(core.nl(), pin.seed), pin.des);
+        EXPECT_EQ(delay_digest(harness.nl(), pin.seed), pin.gadget);
+    }
 }
 
 }  // namespace

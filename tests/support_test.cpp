@@ -25,6 +25,17 @@ TEST(Rng, DeterministicForEqualSeeds) {
     for (int i = 0; i < 1000; ++i) EXPECT_EQ(a(), b());
 }
 
+TEST(Rng, FirstUniformIsTheGeneratorsFirstDraw) {
+    static_assert(Xoshiro256::first_uniform(5) == Xoshiro256(5).uniform());
+    std::uint64_t sm = 11;
+    for (int i = 0; i < 1000; ++i) {
+        const std::uint64_t seed = splitmix64(sm);
+        EXPECT_EQ(Xoshiro256::first_uniform(seed), Xoshiro256(seed).uniform());
+    }
+    for (const std::uint64_t seed : {0ull, 1ull, ~0ull})
+        EXPECT_EQ(Xoshiro256::first_uniform(seed), Xoshiro256(seed).uniform());
+}
+
 TEST(Rng, DifferentSeedsDiverge) {
     Xoshiro256 a(1);
     Xoshiro256 b(2);
